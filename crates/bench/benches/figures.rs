@@ -5,8 +5,8 @@
 //! every system configuration of the figure). Before timing, each figure
 //! also prints its (reduced-scale) table once, so `cargo bench` output
 //! doubles as a quick reproduction check. For publication-shaped numbers
-//! use the release binaries (`--bin fig3` ... `--bin fig11`,
-//! `--bin reproduce`) at full scale.
+//! use the release `reproduce` binary (`--figures fig3` ... `--figures
+//! fig11`, or every figure) at full scale.
 
 use std::hint::black_box;
 

@@ -1,8 +1,10 @@
 //! One module per paper figure/table.
 //!
 //! Every module exposes `run(ts, kinds)` returning one or more
-//! [`crate::FigureTable`]s with the same rows/series the paper plots, and
-//! every module has a same-named binary. Figure numbers follow the paper:
+//! [`crate::FigureTable`]s with the same rows/series the paper plots;
+//! `reproduce --figures <key>` prints one (keys `fig3`…`fig11`,
+//! `fig6-tight`, `origin`; the tables head every run). Figure numbers
+//! follow the paper:
 //!
 //! * [`tables`] — Tables 1 (latency components), 2 (event latencies),
 //!   3 (benchmark characteristics);

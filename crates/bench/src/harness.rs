@@ -14,8 +14,8 @@ use dsm_types::{DsmError, Geometry, Topology};
 use crate::journal::SweepJournal;
 use crate::sweep::{run_sweep, Jobs, SweepPoint};
 
-/// The flags every figure binary accepts — one usage text shared by all
-/// of them (and embedded in `reproduce`'s extended usage).
+/// The flags every experiment binary accepts — one usage text shared by
+/// `reproduce`, `profile` and `throughput`.
 pub const COMMON_FLAGS_USAGE: &str = "\
 common flags:
   --scale <f>  trace-length scale factor in (0, 1] (env DSM_SCALE; default 1.0)
@@ -26,9 +26,10 @@ common flags:
                path). Results are byte-identical for any value; sweep
                workers shrink to jobs/n so both levels share one budget,
                so n must not exceed --jobs (unless --jobs is 1, which
-               dedicates the whole budget to replay). 'auto' derives n
-               from the host's available parallelism, capped by the
-               --jobs budget
+               dedicates the whole budget to replay; without --jobs, an
+               n above the host's threads selects --jobs 1). 'auto'
+               derives n from the host's available parallelism, capped
+               by the --jobs budget
   --mmap       replay traces through the zero-copy mmap loader:
                generated traces are spilled to a temp file and mapped
                read-only instead of staying heap-resident (env DSM_MMAP;
@@ -62,13 +63,24 @@ pub struct RunArgs {
 /// returns how many argv items it consumed (`Ok(0)` = unrecognized).
 /// Unknown or malformed flags are an `Err` — nothing is silently
 /// swallowed. Missing values fall back to `DSM_SCALE` / `DSM_JOBS`, then
-/// to scale 1.0 / all available hardware threads.
+/// to scale 1.0 / all available hardware threads (or one sweep worker
+/// when `--shard-workers` alone exceeds them).
 ///
 /// # Errors
 ///
 /// Returns the message to print above the usage text.
 pub fn parse_argv(
     argv: &[String],
+    extra: impl FnMut(&[String], usize) -> Result<usize, String>,
+) -> Result<RunArgs, String> {
+    parse_argv_with_env(argv, |name| std::env::var(name).ok(), extra)
+}
+
+/// [`parse_argv`] reading its `DSM_*` fallbacks through `env` instead of
+/// the process environment.
+fn parse_argv_with_env(
+    argv: &[String],
+    env: impl Fn(&str) -> Option<String>,
     mut extra: impl FnMut(&[String], usize) -> Result<usize, String>,
 ) -> Result<RunArgs, String> {
     /// `--shard-workers` before resolution: an explicit count, or
@@ -132,48 +144,51 @@ pub fn parse_argv(
         }
     }
     if scale.is_none() {
-        if let Ok(v) = std::env::var("DSM_SCALE") {
+        if let Some(v) = env("DSM_SCALE") {
             scale = Some(v.parse().map_err(|_| format!("bad DSM_SCALE '{v}'"))?);
         }
     }
     if jobs.is_none() {
-        if let Ok(v) = std::env::var("DSM_JOBS") {
+        if let Some(v) = env("DSM_JOBS") {
             jobs = Some(v.parse().map_err(|_| format!("bad DSM_JOBS '{v}'"))?);
         }
     }
     if shard_workers.is_none() {
-        if let Ok(v) = std::env::var("DSM_SHARD_WORKERS") {
+        if let Some(v) = env("DSM_SHARD_WORKERS") {
             shard_workers =
                 Some(parse_shard_workers(&v).map_err(|_| format!("bad DSM_SHARD_WORKERS '{v}'"))?);
         }
     }
     if !mmap {
-        if let Ok(v) = std::env::var("DSM_MMAP") {
+        if let Some(v) = env("DSM_MMAP") {
             mmap = !v.is_empty() && v != "0";
         }
     }
-    let jobs = match jobs {
-        Some(n) => Jobs::new(n)?,
-        None => Jobs::available(),
-    };
+    let jobs = jobs.map(Jobs::new).transpose()?;
+    let avail = Jobs::available();
     // Resolve `auto` against the host and the jobs budget: under a
     // serial sweep (--jobs 1) every hardware thread goes to replay;
     // otherwise replay threads cannot exceed the sweep budget.
     let shard_workers = match shard_workers {
         None => 1,
         Some(ShardWorkersArg::Count(n)) => n,
-        Some(ShardWorkersArg::Auto) => {
-            let avail = Jobs::available().get();
-            if jobs.get() == 1 {
-                avail
-            } else {
-                avail.min(jobs.get())
-            }
-        }
+        Some(ShardWorkersArg::Auto) => match jobs {
+            Some(j) if j.get() > 1 => avail.get().min(j.get()),
+            _ => avail.get(),
+        },
     };
     if shard_workers == 0 {
         return Err("--shard-workers must be at least 1".to_owned());
     }
+    // Without an explicit budget, jobs is the host's thread count — or,
+    // when the replay threads alone exceed it, the serial sweep that
+    // dedicates every thread to replay. `TraceSet::effective_jobs`
+    // divides the budget between the two levels later.
+    let jobs = match jobs {
+        Some(j) => j,
+        None if shard_workers > avail.get() => Jobs::serial(),
+        None => avail,
+    };
     // The two parallelism levels share one thread budget (jobs /
     // shard-workers sweep workers). Asking for more replay threads than
     // the budget holds cannot be honored — except under --jobs 1, the
@@ -234,18 +249,6 @@ pub fn report_failure(e: &DsmError) -> std::process::ExitCode {
     std::process::ExitCode::from(e.exit_code())
 }
 
-/// Parses the process arguments of a figure binary (only the common
-/// flags), exiting with `usage_line` on anything unrecognized.
-#[must_use]
-pub fn parse_run_args(usage_line: &str) -> RunArgs {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_argv(&argv, |_, _| Ok(0)).unwrap_or_else(|msg| usage_exit(usage_line, &msg));
-    if let Err(e) = install_fault_plan(&args) {
-        usage_exit(usage_line, e.message());
-    }
-    args
-}
-
 /// A cache of generated traces, one per workload, shared by every system
 /// configuration of a figure (the paper's same-trace methodology).
 ///
@@ -294,9 +297,10 @@ impl TraceSet {
         TraceSet::with_jobs(scale, Jobs::available())
     }
 
-    /// Builds a set from parsed CLI arguments: scale, sweep jobs and
-    /// per-point replay workers — the one-liner every figure binary uses
-    /// so `--shard-workers` is honored everywhere.
+    /// Builds a set from parsed CLI arguments: scale, sweep jobs,
+    /// per-point replay workers and trace storage — the one-liner every
+    /// experiment front-end uses so `--shard-workers` is honored
+    /// everywhere.
     #[must_use]
     pub fn from_args(args: &RunArgs) -> Self {
         let mut ts = TraceSet::with_jobs(args.scale, args.jobs);
@@ -845,6 +849,15 @@ mod tests {
         args.iter().map(|s| (*s).to_owned()).collect()
     }
 
+    /// [`super::parse_argv`] under an empty environment, so these tests
+    /// give the same result whatever `DSM_*` variables the caller set.
+    fn parse_argv(
+        argv: &[String],
+        extra: impl FnMut(&[String], usize) -> Result<usize, String>,
+    ) -> Result<RunArgs, String> {
+        parse_argv_with_env(argv, |_| None, extra)
+    }
+
     #[test]
     fn parse_argv_accepts_common_flags() {
         let a = parse_argv(&argv(&["--scale", "0.25", "--jobs", "3"]), |_, _| Ok(0)).unwrap();
@@ -931,6 +944,49 @@ mod tests {
         .unwrap();
         assert_eq!(a.jobs.get(), 4);
         assert_eq!(a.shard_workers, 4);
+    }
+
+    #[test]
+    fn parse_argv_derives_jobs_from_the_host_and_shard_workers() {
+        let avail = Jobs::available().get();
+        for n in [1, 2, 4, avail, avail + 1] {
+            let a = parse_argv(&argv(&["--shard-workers", &n.to_string()]), |_, _| Ok(0))
+                .unwrap_or_else(|e| panic!("--shard-workers {n}: {e}"));
+            assert_eq!(a.shard_workers, n);
+            // More replay threads than the host has: a serial sweep with
+            // every thread on replay. Otherwise the host's threads, which
+            // the trace set divides between the two levels.
+            let jobs = if n > avail { 1 } else { avail };
+            assert_eq!(a.jobs.get(), jobs, "--shard-workers {n}");
+            let ts = TraceSet::from_args(&a);
+            assert_eq!(ts.effective_jobs().get(), (jobs / n).max(1));
+        }
+    }
+
+    #[test]
+    fn parse_argv_reads_fallbacks_from_its_environment() {
+        let vars = [
+            ("DSM_SCALE", "0.5"),
+            ("DSM_JOBS", "2"),
+            ("DSM_SHARD_WORKERS", "2"),
+            ("DSM_MMAP", "1"),
+        ];
+        let env = |name: &str| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| (*v).to_owned())
+        };
+        let a = parse_argv_with_env(&argv(&[]), env, |_, _| Ok(0)).unwrap();
+        assert_eq!(a.scale.factor(), 0.5);
+        assert_eq!((a.jobs.get(), a.shard_workers), (2, 2));
+        assert!(a.mmap);
+        // Flags win over the environment.
+        let a = parse_argv_with_env(&argv(&["--jobs", "1"]), env, |_, _| Ok(0)).unwrap();
+        assert_eq!(a.jobs.get(), 1);
+        // DSM_JOBS is an explicit budget: exceeding it stays an error.
+        let e =
+            parse_argv_with_env(&argv(&["--shard-workers", "4"]), env, |_, _| Ok(0)).unwrap_err();
+        assert!(e.contains("exceeds"), "{e}");
     }
 
     #[test]

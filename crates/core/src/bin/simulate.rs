@@ -2,8 +2,12 @@
 //!
 //! ```text
 //! simulate --system <name> --workload <benchmark> [--scale <f>] [--dev]
-//! simulate --system <name> --trace <file.dsmt> [--data-mb <n>] [--mmap]
+//! simulate --system <name> --trace <file.dsmt> [--data-mb <n>]
 //! ```
+//!
+//! `--trace` files are mapped read-only and replayed zero-copy from the
+//! mapping (`DSM_NO_MMAP=1` reads them into memory instead; the replay
+//! is identical either way).
 //!
 //! Systems: `base`, `nc`, `vb`, `vp`, `ncd`, `ncs`, `inf-dram`, and the
 //! page-cache systems `ncp`, `vbp`, `vpp`, `vxp` (which accept
@@ -16,25 +20,23 @@
 //! relocation/threshold timelines. `--epoch <refs>` additionally samples
 //! the run into epochs and reports the per-epoch remote miss series.
 
-use std::fs::File;
-use std::io::BufReader;
 use std::process::ExitCode;
 
 use dsm_core::obs::StatsSink;
 use dsm_core::runner::{report_of, run_trace};
 use dsm_core::{NcSpec, PcSize, Report, System, SystemSpec};
-use dsm_trace::{open_shared_mapped, read_shared, CodecError, Scale, SharedTrace, WorkloadKind};
+use dsm_trace::{open_shared_mapped, CodecError, Scale, SharedTrace, WorkloadKind};
 use dsm_types::{ClusterId, DsmError, Geometry, Topology};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: simulate --system <name> --workload <benchmark> [--scale <f>] [--dev]\n\
-         \x20      simulate --system <name> --trace <file.dsmt> [--data-mb <n>] [--mmap]\n\
+         \x20      simulate --system <name> --trace <file.dsmt> [--data-mb <n>]\n\
          systems: base nc vb vp ncd ncs inf-dram ncp vbp vpp vxp origin origin-vb\n\
          overrides: --cache-bytes <n> --cache-ways <n> --nc-bytes <n> --pointers <p> --dirty-shared\n\
          page-cache options: --pc-fraction <d> | --pc-bytes <n>; vxp: --threshold <t>\n\
          checking: --check <K> (validate coherence invariants every K references)\n\
-         parallelism: --shard-workers <n> (shard replay by home cluster; metrics identical)\n\
+         parallelism: --shard-workers <n> (sharded replay threads; metrics identical)\n\
          observability: --stats [--top <k>] [--epoch <refs>]\n\
          chaos: env DSM_FAULT_PLAN=<seed|spec> arms deterministic fault injection\n\
          \x20      (supervised recovery keeps metrics identical or fails structurally)"
@@ -58,7 +60,6 @@ struct Options {
     dirty_shared: bool,
     check: Option<u64>,
     data_mb: Option<u64>,
-    mmap: bool,
     stats: bool,
     top: usize,
     epoch: Option<u64>,
@@ -82,7 +83,6 @@ fn parse_args() -> Result<Options, String> {
         dirty_shared: false,
         check: None,
         data_mb: None,
-        mmap: false,
         stats: false,
         top: 10,
         epoch: None,
@@ -124,7 +124,6 @@ fn parse_args() -> Result<Options, String> {
             "--dirty-shared" => o.dirty_shared = true,
             "--check" => o.check = Some(num("--check", &val()?)?),
             "--data-mb" => o.data_mb = Some(num("--data-mb", &val()?)?),
-            "--mmap" => o.mmap = true,
             "--stats" => o.stats = true,
             "--top" => o.top = num("--top", &val()?)?,
             "--epoch" => {
@@ -149,9 +148,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if o.workload.is_none() == o.trace.is_none() {
         return Err("exactly one of --workload and --trace is required".to_owned());
-    }
-    if o.mmap && o.trace.is_none() {
-        return Err("--mmap requires --trace (generated workloads are heap-resident)".to_owned());
     }
     if o.stats && o.shard_workers > 1 {
         return Err(
@@ -389,24 +385,16 @@ fn run(o: &Options, spec: SystemSpec) -> Result<(), DsmError> {
         (trace, w.shared_bytes(), w.name().to_owned())
     } else {
         let path = o.trace.as_deref().unwrap_or_default();
-        // v2 trace files carry their geometry; v1 files replay under the
-        // paper default. --mmap decodes straight from the kernel mapping
-        // instead of copying the file into heap columns.
-        let trace = if o.mmap {
-            open_shared_mapped(std::path::Path::new(path)).map_err(|e| match e {
-                // Match the owned path's classification: a path the user
-                // gave us that does not exist is their input's fault.
-                CodecError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => {
-                    DsmError::bad_input(format!("cannot open {path}: {io}"))
-                }
-                other => DsmError::from(other).context(format!("trace {path}")),
-            })?
-        } else {
-            let file = File::open(path)
-                .map_err(|e| DsmError::bad_input(format!("cannot open {path}: {e}")))?;
-            read_shared(BufReader::new(file))
-                .map_err(|e| DsmError::from(e).context(format!("trace {path}")))?
-        };
+        // Trace files carry their topology and geometry; replay decodes
+        // straight from the kernel mapping.
+        let trace = open_shared_mapped(std::path::Path::new(path)).map_err(|e| match e {
+            // A path the user gave us that does not exist is their
+            // input's fault, not an internal error.
+            CodecError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => {
+                DsmError::bad_input(format!("cannot open {path}: {io}"))
+            }
+            other => DsmError::from(other).context(format!("trace {path}")),
+        })?;
         let data_bytes = o.data_mb.unwrap_or(32) * 1024 * 1024;
         (trace, data_bytes, path.to_owned())
     };

@@ -187,21 +187,6 @@ pub fn run_workload(
 ) -> Result<Report, ConfigError> {
     let topo = Topology::paper_default();
     let geo = Geometry::paper_default();
-    run_workload_on(spec, workload, scale, topo, geo)
-}
-
-/// [`run_workload`] with explicit topology/geometry.
-///
-/// # Errors
-///
-/// As [`run_workload`].
-pub fn run_workload_on(
-    spec: &SystemSpec,
-    workload: &dyn Workload,
-    scale: Scale,
-    topo: Topology,
-    geo: Geometry,
-) -> Result<Report, ConfigError> {
     let data_bytes = workload.shared_bytes();
     let mut system = System::new(spec.clone(), topo, geo, data_bytes)?;
     let refs = workload.generate(&topo, scale);

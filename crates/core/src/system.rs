@@ -423,23 +423,6 @@ impl<P: Probe> System<P> {
         }
     }
 
-    /// Processes an entire trace.
-    ///
-    /// Compatibility shim over [`System::run_shared`]: collects the
-    /// references and builds a [`SharedTrace`] internally. Callers
-    /// replaying a trace more than once (sweeps) should build the
-    /// `SharedTrace` themselves and call [`System::run_shared`] so the
-    /// decomposition columns are computed once, not per configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a reference's processor is outside the topology.
-    pub fn run<I: IntoIterator<Item = MemRef>>(&mut self, trace: I) {
-        let refs: Vec<MemRef> = trace.into_iter().collect();
-        let shared = SharedTrace::from_refs(self.topo, self.geo, &refs);
-        self.run_shared(&shared);
-    }
-
     /// Replays a columnar trace, consuming the precomputed decomposition
     /// columns in batches of [`BATCH`] [`DecodedRef`]s — no per-reference
     /// address arithmetic, processor splitting, or page-table hashing.
@@ -447,7 +430,7 @@ impl<P: Probe> System<P> {
     /// The precomputed `home` column encodes pure first-touch placement,
     /// so the batched path requires page homes to be static: a system
     /// running OS migration/replication policies, or one whose placement
-    /// map is already populated (a prior `run` on the same system),
+    /// map is already populated (a prior replay on the same system),
     /// falls back to the per-reference path with live home lookups. The
     /// two paths are metric-identical (see `tests/sharedtrace_equiv.rs`).
     ///

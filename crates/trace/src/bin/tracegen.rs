@@ -1,8 +1,8 @@
-//! Generates a benchmark reference trace and writes it in the `DSMT`
-//! binary format (or prints its statistics).
+//! Generates a benchmark reference trace and writes it in the columnar
+//! `DSMT` v2 binary format (or prints its statistics).
 //!
 //! ```text
-//! tracegen <benchmark> [--scale <f>] [--dev] [--out <file>] [--stats]
+//! tracegen <benchmark> [--scale <f>] [--dev] [--out <file>] [--stats] [--analyze]
 //! ```
 //!
 //! * `<benchmark>` — barnes | cholesky | fft | fmm | lu | ocean | radix |
@@ -10,20 +10,19 @@
 //! * `--scale <f>` — trace-length factor in (0, 1], default 1.0
 //! * `--dev` — use the reduced development-size instance
 //! * `--out <file>` — write the trace (default: `<benchmark>.dsmt`)
-//! * `--format <1|2>` — on-disk format: 1 = record-oriented v1,
-//!   2 = columnar v2 (default)
 //! * `--stats` — print trace statistics instead of writing a file
+//! * `--analyze` — print the sharing analysis instead of writing a file
 
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::ExitCode;
 
-use dsm_trace::{analyze, write_shared, write_trace, Scale, SharedTrace, TraceStats, WorkloadKind};
+use dsm_trace::{analyze, write_shared, Scale, SharedTrace, TraceStats, WorkloadKind};
 use dsm_types::{DsmError, Geometry, Topology};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tracegen <benchmark> [--scale <f>] [--dev] [--out <file>] [--format <1|2>] [--stats] [--analyze]\n\
+        "usage: tracegen <benchmark> [--scale <f>] [--dev] [--out <file>] [--stats] [--analyze]\n\
          benchmarks: barnes cholesky fft fmm lu ocean radix raytrace"
     );
     ExitCode::from(2)
@@ -50,7 +49,6 @@ fn main() -> ExitCode {
     let mut out: Option<String> = None;
     let mut stats = false;
     let mut analyze_flag = false;
-    let mut format = 2u32;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => match args.next().map(|v| v.parse::<f64>()) {
@@ -62,11 +60,6 @@ fn main() -> ExitCode {
                 Some(v) => out = Some(v),
                 None => return usage(),
             },
-            "--format" => match args.next().as_deref() {
-                Some("1") => format = 1,
-                Some("2") => format = 2,
-                _ => return usage(),
-            },
             "--stats" => stats = true,
             "--analyze" => analyze_flag = true,
             other => {
@@ -76,7 +69,7 @@ fn main() -> ExitCode {
         }
     }
 
-    match run(kind, scale, dev, out, stats, analyze_flag, format) {
+    match run(kind, scale, dev, out, stats, analyze_flag) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -93,7 +86,6 @@ fn run(
     out: Option<String>,
     stats: bool,
     analyze_flag: bool,
-    format: u32,
 ) -> Result<(), DsmError> {
     let scale = Scale::new(scale).map_err(DsmError::from)?;
     let workload = if dev {
@@ -151,16 +143,9 @@ fn run(
     let path = out.unwrap_or_else(|| format!("{}.dsmt", workload.name()));
     let file = File::create(&path)
         .map_err(|e| DsmError::bad_input(format!("cannot create {path}: {e}")))?;
-    let result = if format == 2 {
-        let shared = SharedTrace::from_refs(topo, Geometry::paper_default(), &trace);
-        write_shared(BufWriter::new(file), &shared)
-    } else {
-        write_trace(BufWriter::new(file), &topo, &trace)
-    };
-    result.map_err(|e| DsmError::from(e).context(format!("writing {path}")))?;
-    eprintln!(
-        "tracegen: wrote {} references to {path} (format v{format})",
-        trace.len()
-    );
+    let shared = SharedTrace::from_refs(topo, Geometry::paper_default(), &trace);
+    write_shared(BufWriter::new(file), &shared)
+        .map_err(|e| DsmError::from(e).context(format!("writing {path}")))?;
+    eprintln!("tracegen: wrote {} references to {path}", trace.len());
     Ok(())
 }

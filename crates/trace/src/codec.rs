@@ -6,14 +6,13 @@
 //! workflow — generate once with the `tracegen` binary, replay many times
 //! with `simulate` — and makes traces portable between machines.
 //!
-//! # Format (`DSMT`)
+//! # Format (`DSMT`, version 2)
 //!
-//! All integers little-endian. Version 2 is the current columnar format,
-//! mirroring [`SharedTrace`]'s struct-of-arrays layout; version 1 files
-//! (row-oriented 11-byte records) remain readable.
+//! All integers little-endian. The layout is columnar, mirroring
+//! [`SharedTrace`]'s struct-of-arrays form, so a mapped file's address
+//! column *is* the replay column ([`open_shared_mapped`]).
 //!
 //! ```text
-//! version 2 (columnar):
 //! magic        4 bytes  "DSMT"
 //! version      u16      2
 //! clusters     u16
@@ -24,32 +23,23 @@
 //! proc column  refs x u16
 //! op bitmap    ceil(refs / 8) bytes, bit i set = reference i is a write
 //! addr column  refs x u64
-//!
-//! version 1 (row-oriented, read-only compatibility):
-//! magic        4 bytes  "DSMT"
-//! version      u16      1
-//! clusters     u16
-//! procs/cl     u16
-//! refs         u64      record count
-//! records      refs x { proc: u16, op: u8 (0 = read, 1 = write), addr: u64 }
 //! ```
 //!
-//! Version 1 carries no geometry; readers that need one
-//! ([`read_shared`]) decompose v1 traces under
-//! [`Geometry::paper_default`].
+//! Every file, mapped or read, goes through one parser
+//! ([`shared_from_mapping`]). Any other version — including the
+//! retired row-oriented version 1 — is rejected as malformed input.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use dsm_types::{Addr, ConfigError, DsmError, Geometry, MemOp, MemRef, ProcId, Topology};
+use dsm_types::{ConfigError, DsmError, Geometry, Topology};
 
 use crate::mmap::Mapping;
 use crate::shared::{derive_columns, AddrColumn, DeriveError, SharedTrace};
 
 const MAGIC: &[u8; 4] = b"DSMT";
-const VERSION_V1: u16 = 1;
-const VERSION_V2: u16 = 2;
+const VERSION: u16 = 2;
 
 /// Errors produced while reading a trace file.
 #[derive(Debug)]
@@ -107,38 +97,6 @@ impl From<CodecError> for DsmError {
     }
 }
 
-/// Writes `trace` (generated for `topo`) to `w` in the version 1
-/// row-oriented format. Kept for producing compatibility fixtures; new
-/// traces should use [`write_shared`].
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write_trace<W: Write>(
-    mut w: W,
-    topo: &Topology,
-    trace: &[MemRef],
-) -> Result<(), CodecError> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION_V1.to_le_bytes())?;
-    w.write_all(&topo.clusters().to_le_bytes())?;
-    w.write_all(&topo.procs_per_cluster().to_le_bytes())?;
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
-    let mut buf = Vec::with_capacity(64 * 1024);
-    for r in trace {
-        buf.extend_from_slice(&r.proc.0.to_le_bytes());
-        buf.push(u8::from(r.op.is_write()));
-        buf.extend_from_slice(&r.addr.0.to_le_bytes());
-        if buf.len() >= 64 * 1024 - 16 {
-            w.write_all(&buf)?;
-            buf.clear();
-        }
-    }
-    w.write_all(&buf)?;
-    w.flush()?;
-    Ok(())
-}
-
 /// Writes `trace` to `w` in the version 2 columnar format, preserving the
 /// topology and geometry it was decomposed under.
 ///
@@ -150,7 +108,7 @@ pub fn write_shared<W: Write>(mut w: W, trace: &SharedTrace) -> Result<(), Codec
     let geo = trace.geometry();
     let n = trace.len();
     w.write_all(MAGIC)?;
-    w.write_all(&VERSION_V2.to_le_bytes())?;
+    w.write_all(&VERSION.to_le_bytes())?;
     w.write_all(&topo.clusters().to_le_bytes())?;
     w.write_all(&topo.procs_per_cluster().to_le_bytes())?;
     w.write_all(&geo.block_bytes().to_le_bytes())?;
@@ -194,173 +152,52 @@ pub fn write_shared<W: Write>(mut w: W, trace: &SharedTrace) -> Result<(), Codec
     Ok(())
 }
 
-fn read_exact<R: Read, const N: usize>(r: &mut R) -> Result<[u8; N], CodecError> {
+fn read_exact<const N: usize>(r: &mut &[u8]) -> Result<[u8; N], CodecError> {
     let mut b = [0u8; N];
     r.read_exact(&mut b)?;
     Ok(b)
 }
 
-/// A parsed `DSMT` header: the version-specific metadata preceding the
-/// reference data.
-enum Header {
-    V1 {
-        topo: Topology,
-        count: usize,
-    },
-    V2 {
-        topo: Topology,
-        geo: Geometry,
-        count: usize,
-    },
-}
-
-fn read_header<R: Read>(r: &mut R) -> Result<Header, CodecError> {
-    let magic = read_exact::<_, 4>(r)?;
+/// Parses the `DSMT` header off the front of `r`, returning the
+/// topology, geometry and reference count it declares.
+fn read_header(r: &mut &[u8]) -> Result<(Topology, Geometry, usize), CodecError> {
+    let magic = read_exact::<4>(r)?;
     if &magic != MAGIC {
         return Err(CodecError::Format(format!(
             "bad magic {magic:?}, expected {MAGIC:?}"
         )));
     }
-    let version = u16::from_le_bytes(read_exact::<_, 2>(r)?);
-    if version != VERSION_V1 && version != VERSION_V2 {
+    let version = u16::from_le_bytes(read_exact::<2>(r)?);
+    if version != VERSION {
         return Err(CodecError::Format(format!("unsupported version {version}")));
     }
-    let clusters = u16::from_le_bytes(read_exact::<_, 2>(r)?);
-    let procs = u16::from_le_bytes(read_exact::<_, 2>(r)?);
+    let clusters = u16::from_le_bytes(read_exact::<2>(r)?);
+    let procs = u16::from_le_bytes(read_exact::<2>(r)?);
     let topo = Topology::new(clusters, procs).map_err(CodecError::Config)?;
-    let geo = if version == VERSION_V2 {
-        let block = u64::from_le_bytes(read_exact::<_, 8>(r)?);
-        let page = u64::from_le_bytes(read_exact::<_, 8>(r)?);
-        Some(Geometry::new(block, page).map_err(CodecError::Config)?)
-    } else {
-        None
-    };
-    let count = u64::from_le_bytes(read_exact::<_, 8>(r)?);
+    let block = u64::from_le_bytes(read_exact::<8>(r)?);
+    let page = u64::from_le_bytes(read_exact::<8>(r)?);
+    let geo = Geometry::new(block, page).map_err(CodecError::Config)?;
+    let count = u64::from_le_bytes(read_exact::<8>(r)?);
     let count = usize::try_from(count)
         .map_err(|_| CodecError::Format("trace too large for this platform".into()))?;
-    Ok(match geo {
-        Some(geo) => Header::V2 { topo, geo, count },
-        None => Header::V1 { topo, count },
-    })
+    Ok((topo, geo, count))
 }
 
-fn read_records_v1<R: Read>(
-    r: &mut R,
-    topo: &Topology,
-    count: usize,
-) -> Result<Vec<MemRef>, CodecError> {
-    let mut trace = Vec::with_capacity(count.min(1 << 24));
-    for i in 0..count {
-        let proc = u16::from_le_bytes(read_exact::<_, 2>(r)?);
-        let op = read_exact::<_, 1>(r)?[0];
-        let addr = u64::from_le_bytes(read_exact::<_, 8>(r)?);
-        if proc >= topo.total_procs() {
-            return Err(CodecError::Format(format!(
-                "record {i}: processor {proc} outside topology {topo}"
-            )));
-        }
-        let op = match op {
-            0 => MemOp::Read,
-            1 => MemOp::Write,
-            other => {
-                return Err(CodecError::Format(format!(
-                    "record {i}: bad op byte {other}"
-                )))
-            }
-        };
-        trace.push(MemRef::new(ProcId(proc), op, Addr(addr)));
-    }
-    Ok(trace)
-}
-
-fn read_columns_v2<R: Read>(
-    r: &mut R,
-    topo: &Topology,
-    count: usize,
-) -> Result<Vec<MemRef>, CodecError> {
-    let cap = count.min(1 << 24);
-    let mut procs = Vec::with_capacity(cap);
-    for i in 0..count {
-        let proc = u16::from_le_bytes(read_exact::<_, 2>(r)?);
-        if proc >= topo.total_procs() {
-            return Err(CodecError::Format(format!(
-                "record {i}: processor {proc} outside topology {topo}"
-            )));
-        }
-        procs.push(proc);
-    }
-    let mut writes = Vec::with_capacity(count.div_ceil(8).min(1 << 24));
-    for _ in 0..count.div_ceil(8) {
-        writes.push(read_exact::<_, 1>(r)?[0]);
-    }
-    let mut trace = Vec::with_capacity(cap);
-    for (i, &proc) in procs.iter().enumerate() {
-        let addr = u64::from_le_bytes(read_exact::<_, 8>(r)?);
-        let op = if writes[i / 8] & (1 << (i % 8)) != 0 {
-            MemOp::Write
-        } else {
-            MemOp::Read
-        };
-        trace.push(MemRef::new(ProcId(proc), op, Addr(addr)));
-    }
-    Ok(trace)
-}
-
-fn expect_eof<R: Read>(r: &mut R) -> Result<(), CodecError> {
-    // Trailing garbage is an error: it usually means a truncated header
-    // count or a concatenated file.
-    let mut probe = [0u8; 1];
-    match r.read(&mut probe)? {
-        0 => Ok(()),
-        _ => Err(CodecError::Format("trailing bytes after trace".into())),
-    }
-}
-
-/// Reads a `DSMT` trace (version 1 or 2) from `r`, returning the topology
-/// it was generated for and the reference stream. Version 2's geometry is
-/// discarded; use [`read_shared`] to keep it.
+/// Reads a `DSMT` trace from `r` into the columnar [`SharedTrace`]
+/// replay form: the bytes are read into memory and parsed exactly as a
+/// mapped file would be ([`shared_from_mapping`]).
 ///
 /// # Errors
 ///
-/// Returns [`CodecError`] on I/O failure, bad magic/version, an invalid
-/// topology or geometry, or a reference naming a processor outside the
-/// topology.
-pub fn read_trace<R: Read>(mut r: R) -> Result<(Topology, Vec<MemRef>), CodecError> {
-    let trace = match read_header(&mut r)? {
-        Header::V1 { topo, count } => {
-            let t = read_records_v1(&mut r, &topo, count)?;
-            (topo, t)
-        }
-        Header::V2 { topo, count, .. } => {
-            let t = read_columns_v2(&mut r, &topo, count)?;
-            (topo, t)
-        }
-    };
-    expect_eof(&mut r)?;
-    Ok(trace)
-}
-
-/// Reads a `DSMT` trace (version 1 or 2) from `r` directly into the
-/// columnar [`SharedTrace`] replay form. Version 1 files carry no
-/// geometry and are decomposed under [`Geometry::paper_default`].
-///
-/// # Errors
-///
-/// As [`read_trace`], plus a configuration error if the topology exceeds
-/// [`SharedTrace`]'s 256-cluster column width.
+/// Returns [`CodecError`] on I/O failure, bad magic or version, an
+/// invalid topology or geometry, a file shorter or longer than its
+/// header declares, a reference naming a processor outside the
+/// topology, or a topology wider than [`SharedTrace`]'s 256-cluster
+/// column width.
 pub fn read_shared<R: Read>(mut r: R) -> Result<SharedTrace, CodecError> {
-    let (topo, geo, refs) = match read_header(&mut r)? {
-        Header::V1 { topo, count } => {
-            let t = read_records_v1(&mut r, &topo, count)?;
-            (topo, Geometry::paper_default(), t)
-        }
-        Header::V2 { topo, geo, count } => {
-            let t = read_columns_v2(&mut r, &topo, count)?;
-            (topo, geo, t)
-        }
-    };
-    expect_eof(&mut r)?;
-    SharedTrace::try_from_refs(topo, geo, &refs).map_err(CodecError::Config)
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    shared_from_mapping(Arc::new(Mapping::from_vec(bytes)))
 }
 
 /// Maps `path` and parses it into a [`SharedTrace`] whose address column
@@ -396,13 +233,7 @@ pub fn open_shared_mapped(path: &Path) -> Result<SharedTrace, CodecError> {
 pub fn shared_from_mapping(map: Arc<Mapping>) -> Result<SharedTrace, CodecError> {
     let bytes = map.bytes();
     let mut cursor = bytes;
-    let header = read_header(&mut cursor)?;
-    let (topo, geo, count) = match header {
-        // v1 is row-oriented: there is no contiguous address column to
-        // borrow. Parse it through the owned reader.
-        Header::V1 { .. } => return read_shared(bytes),
-        Header::V2 { topo, geo, count } => (topo, geo, count),
-    };
+    let (topo, geo, count) = read_header(&mut cursor)?;
     let header_len = bytes.len() - cursor.len();
     // Column extents, overflow-checked: a hostile header can claim
     // usize::MAX references.
@@ -464,6 +295,7 @@ pub fn shared_from_mapping(map: Arc<Mapping>) -> Result<SharedTrace, CodecError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_types::{Addr, MemRef, ProcId};
 
     fn sample() -> (Topology, Vec<MemRef>) {
         let topo = Topology::new(2, 2).unwrap();
@@ -481,16 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip() {
-        let (topo, trace) = sample();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &topo, &trace).unwrap();
-        let (topo2, trace2) = read_trace(bytes.as_slice()).unwrap();
-        assert_eq!(topo, topo2);
-        assert_eq!(trace, trace2);
-    }
-
-    #[test]
     fn v2_roundtrip() {
         let shared = sample_shared();
         let mut bytes = Vec::new();
@@ -502,26 +324,6 @@ mod tests {
             back.iter().collect::<Vec<_>>(),
             shared.iter().collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn v2_reads_as_memrefs_too() {
-        let shared = sample_shared();
-        let mut bytes = Vec::new();
-        write_shared(&mut bytes, &shared).unwrap();
-        let (topo, trace) = read_trace(bytes.as_slice()).unwrap();
-        assert_eq!(&topo, shared.topology());
-        assert_eq!(trace, sample().1);
-    }
-
-    #[test]
-    fn v1_reads_into_shared_with_default_geometry() {
-        let (topo, trace) = sample();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &topo, &trace).unwrap();
-        let shared = read_shared(bytes.as_slice()).unwrap();
-        assert_eq!(shared.geometry(), &Geometry::paper_default());
-        assert_eq!(shared.iter().collect::<Vec<_>>(), trace);
     }
 
     #[test]
@@ -538,23 +340,10 @@ mod tests {
     #[test]
     fn empty_trace_roundtrips() {
         let topo = Topology::paper_default();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &topo, &[]).unwrap();
-        let (_, trace) = read_trace(bytes.as_slice()).unwrap();
-        assert!(trace.is_empty());
-
         let shared = SharedTrace::from_refs(topo, Geometry::paper_default(), &[]);
         let mut bytes = Vec::new();
         write_shared(&mut bytes, &shared).unwrap();
         assert!(read_shared(bytes.as_slice()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn record_size_is_eleven_bytes() {
-        let (topo, trace) = sample();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &topo, &trace).unwrap();
-        assert_eq!(bytes.len(), 4 + 2 + 2 + 2 + 8 + trace.len() * 11);
     }
 
     #[test]
@@ -575,31 +364,48 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let err = read_trace(&b"NOPE\x01\x00"[..]).unwrap_err();
+        let err = read_shared(&b"NOPE\x02\x00"[..]).unwrap_err();
         assert!(matches!(err, CodecError::Format(_)), "{err}");
     }
 
     #[test]
     fn rejects_bad_version() {
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, &Topology::paper_default(), &[]).unwrap();
+        write_shared(&mut bytes, &sample_shared()).unwrap();
         bytes[4] = 9;
         assert!(matches!(
-            read_trace(bytes.as_slice()).unwrap_err(),
+            read_shared(bytes.as_slice()).unwrap_err(),
             CodecError::Format(_)
         ));
     }
 
-    #[test]
-    fn rejects_truncated_records() {
-        let (topo, trace) = sample();
+    /// The retired row-oriented version 1: magic, version 1, a 2x2
+    /// topology, one 11-byte `(proc, op, addr)` record.
+    fn version_1_file() -> Vec<u8> {
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, &topo, &trace).unwrap();
-        bytes.truncate(bytes.len() - 5);
-        assert!(matches!(
-            read_trace(bytes.as_slice()).unwrap_err(),
-            CodecError::Io(_)
-        ));
+        bytes.extend_from_slice(b"DSMT");
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        bytes.extend_from_slice(&2u16.to_le_bytes());
+        bytes.extend_from_slice(&2u16.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&3u16.to_le_bytes());
+        bytes.push(1);
+        bytes.extend_from_slice(&0x40u64.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn version_1_files_are_rejected_as_bad_input() {
+        for err in [
+            read_shared(version_1_file().as_slice()).unwrap_err(),
+            mapped_from(version_1_file()).unwrap_err(),
+        ] {
+            assert!(matches!(err, CodecError::Format(_)), "{err}");
+            assert!(err.to_string().contains("unsupported version 1"), "{err}");
+            let err: DsmError = err.into();
+            assert_eq!(err.kind(), dsm_types::ErrorKind::BadInput);
+            assert_eq!(err.exit_code(), 3);
+        }
     }
 
     #[test]
@@ -615,24 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_out_of_range_processor() {
-        let topo = Topology::new(1, 1).unwrap();
-        // Hand-craft: valid header but proc 7.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"DSMT");
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&7u16.to_le_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        let err = read_trace(bytes.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("outside topology"), "{err}");
-        let _ = topo;
-    }
-
-    #[test]
     fn rejects_out_of_range_processor_v2() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"DSMT");
@@ -645,34 +433,12 @@ mod tests {
         bytes.extend_from_slice(&7u16.to_le_bytes()); // proc column: proc 7
         bytes.push(0); // op bitmap
         bytes.extend_from_slice(&0u64.to_le_bytes()); // addr column
-        let err = read_trace(bytes.as_slice()).unwrap_err();
+        let err = read_shared(bytes.as_slice()).unwrap_err();
         assert!(err.to_string().contains("outside topology"), "{err}");
     }
 
     #[test]
-    fn rejects_bad_op_byte() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"DSMT");
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&0u16.to_le_bytes());
-        bytes.push(9);
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        let err = read_trace(bytes.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("bad op byte"), "{err}");
-    }
-
-    #[test]
     fn rejects_trailing_bytes() {
-        let (topo, trace) = sample();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &topo, &trace).unwrap();
-        bytes.push(0);
-        let err = read_trace(bytes.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("trailing"), "{err}");
-
         let mut bytes = Vec::new();
         write_shared(&mut bytes, &sample_shared()).unwrap();
         bytes.push(0);
@@ -691,7 +457,7 @@ mod tests {
         bytes.extend_from_slice(&4096u64.to_le_bytes());
         bytes.extend_from_slice(&0u64.to_le_bytes());
         assert!(matches!(
-            read_trace(bytes.as_slice()).unwrap_err(),
+            read_shared(bytes.as_slice()).unwrap_err(),
             CodecError::Config(_)
         ));
     }
@@ -788,16 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn mapped_v1_files_fall_back_to_the_owned_parser() {
-        let (topo, trace) = sample();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &topo, &trace).unwrap();
-        let shared = mapped_from(bytes).unwrap();
-        assert_eq!(shared.storage_mode(), "owned");
-        assert_eq!(shared.iter().collect::<Vec<_>>(), trace);
-    }
-
-    #[test]
     fn mapped_parse_rejects_truncation_as_eof() {
         let refs = random_refs(7, 100);
         let owned =
@@ -873,7 +629,7 @@ mod tests {
 
     #[test]
     fn large_trace_roundtrips_through_buffering() {
-        // Exercise the 64-KiB internal buffer boundary in both formats.
+        // Exercise the writer's 64-KiB internal buffer boundary.
         let topo = Topology::paper_default();
         let trace: Vec<MemRef> = (0..10_000u64)
             .map(|i| {
@@ -884,11 +640,6 @@ mod tests {
                 }
             })
             .collect();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &topo, &trace).unwrap();
-        let (_, back) = read_trace(bytes.as_slice()).unwrap();
-        assert_eq!(trace, back);
-
         let shared = SharedTrace::from_refs(topo, Geometry::paper_default(), &trace);
         let mut bytes = Vec::new();
         write_shared(&mut bytes, &shared).unwrap();

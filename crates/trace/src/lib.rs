@@ -53,10 +53,7 @@ pub mod workload;
 pub mod workloads;
 
 pub use analysis::{analyze, SharingAnalysis};
-pub use codec::{
-    open_shared_mapped, read_shared, read_trace, shared_from_mapping, write_shared, write_trace,
-    CodecError,
-};
+pub use codec::{open_shared_mapped, read_shared, shared_from_mapping, write_shared, CodecError};
 pub use interleave::PhaseBuilder;
 pub use layout::{Layout, Region};
 pub use mmap::Mapping;

@@ -80,8 +80,8 @@ impl Mapping {
     }
 
     /// Wraps an owned buffer in the `Mapping` interface — the storage the
-    /// platform fallback produces, and what tests use to exercise the
-    /// owned arm without touching the filesystem.
+    /// platform fallback and [`crate::codec::read_shared`] produce, so
+    /// in-memory bytes go through the same parser as a mapped file.
     #[must_use]
     pub fn from_vec(bytes: Vec<u8>) -> Mapping {
         Mapping {

@@ -36,10 +36,6 @@
 //! loading is zero-copy — the file's address column *is* the replay
 //! column, multi-gigabyte traces start instantly, and every sweep worker
 //! shares the same physical pages read-only.
-//!
-//! The home column also makes partitioning a trace by home cluster — the
-//! unit of the sharded simulator — a single column scan
-//! ([`SharedTrace::shard_by_home`]).
 
 use std::sync::Arc;
 
@@ -581,20 +577,6 @@ impl SharedTrace {
         }
     }
 
-    /// Partitions the trace by home cluster: `result[c]` lists the
-    /// indices of every reference whose page is homed at cluster `c`, in
-    /// trace order — one scan of the precomputed `home_cluster` column.
-    /// This is the work split of the per-cluster sharded simulator (each
-    /// shard owns the directory state of its home cluster's pages).
-    #[must_use]
-    pub fn shard_by_home(&self) -> Vec<Vec<u32>> {
-        let mut shards = vec![Vec::new(); usize::from(self.topo.clusters())];
-        for (i, &h) in self.home_cluster.iter().enumerate() {
-            shards[usize::from(h)].push(u32::try_from(i).expect("trace indices fit u32"));
-        }
-        shards
-    }
-
     /// Decodes up to `out.len()` references *from the listed trace
     /// positions* (a gather), returning how many were decoded. The
     /// sharded replay engine walks a [`ShardPlan`] shard's index list
@@ -1076,7 +1058,6 @@ mod tests {
         assert_eq!(mapped.decode_gather(&indices, &mut gb), indices.len());
         assert_eq!(ga, gb);
         assert_eq!(owned.shard_plan(), mapped.shard_plan());
-        assert_eq!(owned.shard_by_home(), mapped.shard_by_home());
     }
 
     #[test]
@@ -1095,18 +1076,6 @@ mod tests {
         let topo = Topology::new(300, 1).unwrap();
         let err = SharedTrace::try_from_refs(topo, Geometry::paper_default(), &[]).unwrap_err();
         assert!(err.to_string().contains("256"), "{err}");
-    }
-
-    #[test]
-    fn shards_partition_by_home_column() {
-        let s = shared();
-        let shards = s.shard_by_home();
-        assert_eq!(shards.len(), 8);
-        // Pages 1 and 2 homed at cluster 2 (refs 0, 2, 3); page 0 at 0.
-        assert_eq!(shards[2], vec![0, 2, 3]);
-        assert_eq!(shards[0], vec![1, 4]);
-        let total: usize = shards.iter().map(Vec::len).sum();
-        assert_eq!(total, s.len());
     }
 
     #[test]

@@ -48,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "\nFigure 6 of the paper (binary `fig6`) runs the fixed-vs-adaptive\n\
-         comparison across all eight benchmarks; Figure 11 (binary `fig11`)\n\
+        "\nFigure 6 of the paper (`reproduce --figures fig6`) runs the fixed-vs-adaptive\n\
+         comparison across all eight benchmarks; Figure 11 (`--figures fig11`)\n\
          shows why `vxp`'s eager victimization counters prefer threshold 64."
     );
     Ok(())

@@ -12,6 +12,7 @@ use dsm_cache::{CacheShape, SetAssoc};
 use dsm_core::{PcSize, System, SystemSpec};
 use dsm_directory::FullMapDirectory;
 use dsm_trace::rng::TraceRng;
+use dsm_trace::{read_shared, write_shared, SharedTrace};
 use dsm_types::{
     Addr, BlockAddr, ClusterId, Geometry, LocalProcId, MemOp, MemRef, ProcId, Topology,
 };
@@ -132,11 +133,13 @@ fn codec_roundtrips_any_trace() {
         let mut rng = TraceRng::for_workload("codec_rt", case);
         let trace = arbitrary_trace(&mut rng, 300);
         let topo = Topology::paper_default();
+        let geo = Geometry::paper_default();
         let mut bytes = Vec::new();
-        dsm_trace::write_trace(&mut bytes, &topo, &trace).unwrap();
-        let (topo2, trace2) = dsm_trace::read_trace(bytes.as_slice()).unwrap();
-        assert_eq!(topo, topo2, "case {case}");
-        assert_eq!(trace, trace2, "case {case}");
+        write_shared(&mut bytes, &SharedTrace::from_refs(topo, geo, &trace)).unwrap();
+        let back = read_shared(bytes.as_slice()).unwrap();
+        assert_eq!(back.topology(), &topo, "case {case}");
+        assert_eq!(back.geometry(), &geo, "case {case}");
+        assert_eq!(back.iter().collect::<Vec<_>>(), trace, "case {case}");
     }
 }
 
@@ -150,14 +153,18 @@ fn codec_rejects_any_truncation() {
         }
         let topo = Topology::paper_default();
         let mut bytes = Vec::new();
-        dsm_trace::write_trace(&mut bytes, &topo, &trace).unwrap();
+        write_shared(
+            &mut bytes,
+            &SharedTrace::from_refs(topo, Geometry::paper_default(), &trace),
+        )
+        .unwrap();
         let cut = (rng.below(100) as usize) % bytes.len();
         if cut == 0 {
             continue; // empty prefix: exercised by unit tests
         }
         bytes.truncate(cut);
         assert!(
-            dsm_trace::read_trace(bytes.as_slice()).is_err(),
+            read_shared(bytes.as_slice()).is_err(),
             "case {case}: truncation at {cut} accepted"
         );
     }
@@ -306,7 +313,7 @@ fn check_system_invariants(spec: SystemSpec, refs: &[MemRef], case: u64) {
     let topo = Topology::paper_default();
     let geo = Geometry::paper_default();
     let mut sys = System::new(spec, topo, geo, 1024 * 1024).unwrap();
-    sys.run(refs.iter().copied());
+    sys.run_shared(&SharedTrace::from_refs(topo, geo, refs));
 
     // Conservation: every reference classified exactly once.
     let m = sys.metrics();
@@ -435,7 +442,7 @@ fn system_is_deterministic() {
                 1024 * 1024,
             )
             .unwrap();
-            sys.run(refs.iter().copied());
+            sys.run_shared(&SharedTrace::from_refs(topo, geo, &refs));
             *sys.metrics()
         };
         assert_eq!(run(), run(), "case {case}");
@@ -452,7 +459,7 @@ fn victim_nc_dominates_base_on_any_stream() {
         let geo = Geometry::paper_default();
         let run = |spec: SystemSpec| {
             let mut sys = System::new(spec, topo, geo, 1024 * 1024).unwrap();
-            sys.run(refs.iter().copied());
+            sys.run_shared(&SharedTrace::from_refs(topo, geo, &refs));
             sys.metrics().remote_read_misses() + sys.metrics().remote_write_misses()
         };
         let base = run(SystemSpec::base());
