@@ -13,14 +13,15 @@
 //! Two layers run:
 //!
 //! 1. **In-process scenarios** — a fixed directed matrix (every
-//!    [`FaultSite`], both shard engines) plus one [`FaultPlan::derive`]d
-//!    plan per `--seeds` entry (default `1..=8`) and, with `--sha`, one
-//!    plan derived from the commit hash so every CI run probes a fresh
-//!    coordinate. Shard-site plans replay a multi-component trace
-//!    (components engine) and a single-component trace (rounds engine)
-//!    at two workers and compare the merged machine state against the
-//!    single-threaded oracle field by field; I/O-site plans exercise
-//!    the sweep journal, `write_json_atomic`, and the mmap loader.
+//!    [`FaultSite`]) plus one [`FaultPlan::derive`]d plan per `--seeds`
+//!    entry (default `1..=8`) and, with `--sha`, one plan derived from
+//!    the commit hash so every CI run probes a fresh coordinate.
+//!    Shard-site plans replay a single-component trace at two workers
+//!    and compare the merged machine state against the single-threaded
+//!    oracle field by field; a directed plan must also fire, degrading
+//!    the run with the diagnosis its site implies. I/O-site plans
+//!    exercise the sweep journal, `write_json_atomic`, and the mmap
+//!    loader.
 //! 2. **End-to-end subprocess scenarios** (with `--reproduce` and
 //!    `--golden`) — `reproduce --workloads fft --shard-workers 2` runs
 //!    under `DSM_FAULT_PLAN` worker-panic and mailbox-stall plans (the
@@ -44,7 +45,7 @@ use std::time::{Duration, Instant};
 use dsm_bench::SweepJournal;
 use dsm_core::fault::{install, FaultPlan, FaultSite};
 use dsm_core::obs::{write_json_atomic, Json};
-use dsm_core::{Metrics, Report, ShardEngine, ShardTuning, System, SystemSpec};
+use dsm_core::{Metrics, Report, ShardFault, ShardTuning, System, SystemSpec};
 use dsm_trace::rng::TraceRng;
 use dsm_trace::{codec, SharedTrace};
 use dsm_types::{Addr, ClusterId, DsmError, Geometry, MemRef, ProcId, Topology};
@@ -131,38 +132,46 @@ fn topo() -> Result<Topology, DsmError> {
     Topology::new(4, 2).map_err(|e| DsmError::internal(format!("chaos topology: {e}")))
 }
 
-/// A conflict-heavy random trace whose clusters split into `groups`
-/// disjoint sharing components (cluster c belongs to group c % groups,
-/// each group owns a private 1 MiB window). `groups == 1` shares one
-/// window machine-wide, forcing the rounds engine; `groups >= 2` gives
-/// the components engine real shards.
-fn chaos_trace(seed: u64, refs: usize, groups: u64) -> Result<SharedTrace, DsmError> {
+/// A phased random trace on the chaos machine: three local phases, in
+/// which every processor reads and writes its cluster's private 1 MiB
+/// window, each followed by a burst of reads of one machine-wide
+/// window, then a conflict-heavy burst of reads and writes there. Under
+/// [`chaos_tuning`] the local phases replay as parallel rounds 1-3, each
+/// long enough for both parts to stream several chunks, so every shard
+/// coordinate [`FaultPlan::derive`] draws exists; the bursts couple the
+/// clusters into one sharing component and replay serially.
+fn chaos_trace(seed: u64) -> Result<SharedTrace, DsmError> {
     let topo = topo()?;
     let geo = Geometry::paper_default();
+    let procs = u64::from(topo.total_procs());
     let per_cluster = u64::from(topo.procs_per_cluster());
     let mut rng = TraceRng::for_workload("chaos", seed);
-    let mut out = Vec::with_capacity(refs);
-    for _ in 0..refs {
-        let proc = rng.below(u64::from(topo.total_procs()));
-        let group = (proc / per_cluster) % groups;
-        let addr = Addr(group * (1 << 20) + (rng.below(1 << 16) & !3));
-        let r = if rng.chance(0.3) {
-            MemRef::write(ProcId(proc as u16), addr)
-        } else {
-            MemRef::read(ProcId(proc as u16), addr)
-        };
-        out.push(r);
+    let mut out = Vec::with_capacity(4000);
+    for phase in 0..4 {
+        let (local, shared) = if phase < 3 { (800, 200) } else { (0, 1000) };
+        for k in 0..local + shared {
+            let proc = rng.below(procs);
+            let window = if k < local { 1 + proc / per_cluster } else { 0 };
+            let addr = Addr((window << 20) + (rng.below(1 << 16) & !3));
+            let writes = if k < local || phase == 3 { 0.3 } else { 0.0 };
+            out.push(if rng.chance(writes) {
+                MemRef::write(ProcId(proc as u16), addr)
+            } else {
+                MemRef::read(ProcId(proc as u16), addr)
+            });
+        }
     }
     Ok(SharedTrace::from_refs(topo, geo, &out))
 }
 
 /// Aggressive tuning so a few thousand references still produce many
-/// chunks, several rounds, and a watchdog that trips in milliseconds.
+/// chunks per round and a watchdog that trips in milliseconds; the
+/// round threshold keeps the serial bursts from forming stray rounds.
 fn chaos_tuning() -> ShardTuning {
     ShardTuning {
         chunk_refs: 64,
         mailbox_capacity: 4,
-        min_parallel_refs: 1,
+        min_parallel_refs: 64,
         watchdog_ms: 250,
     }
 }
@@ -191,38 +200,47 @@ fn assert_identical(oracle: &System, sys: &System, label: &str) -> Result<(), Ds
     Ok(())
 }
 
-/// One supervised sharded replay under `plan`, checked against `oracle`.
-/// The verdict line records whether the plan was absorbed (`degraded=
-/// none`) or supervised into the oracle path — both are legal; drift,
-/// invariant violations, or a wrong engine are not.
-fn run_shard_scenario(
-    plan: FaultPlan,
-    spec: &SystemSpec,
-    trace: &SharedTrace,
-    oracle: &System,
-    want_engine: ShardEngine,
-    label: &str,
-) -> Result<(), DsmError> {
-    let mut sys = new_system(spec, trace)?;
+/// The diagnosis a shard-site plan produces when it fires under
+/// [`chaos_tuning`]: `None` for a stall the watchdog outlasts.
+fn diagnosis_of(plan: FaultPlan) -> Option<ShardFault> {
+    match plan.site {
+        FaultSite::WorkerPanic => Some(ShardFault::WorkerPanic),
+        FaultSite::MailboxSendFail => Some(ShardFault::WorkerIncomplete),
+        FaultSite::MailboxStall if plan.stall_ms >= chaos_tuning().watchdog_ms => {
+            Some(ShardFault::MailboxStall)
+        }
+        _ => None,
+    }
+}
+
+/// One supervised sharded replay under `plan`, checked against the
+/// oracle. Every shard coordinate the matrix and [`FaultPlan::derive`]
+/// use exists in the fixture, so the plan must fire: the verdict line
+/// reads the diagnosis its site implies — `degraded=none` only for a
+/// stall the watchdog outlasts. Drift and invariant violations are
+/// never legal.
+fn run_shard_scenario(plan: FaultPlan, fixtures: &Fixtures, label: &str) -> Result<(), DsmError> {
+    let mut sys = new_system(&fixtures.spec, &fixtures.trace)?;
     install(Some(plan));
-    sys.run_sharded_with(trace, 2, chaos_tuning());
+    sys.run_sharded_with(&fixtures.trace, 2, chaos_tuning());
     install(None);
     let report = sys
         .shard_report()
         .ok_or_else(|| DsmError::internal(format!("{label}: no shard report")))?;
-    if report.engine != want_engine {
+    let want = diagnosis_of(plan);
+    if report.degraded != want {
         return Err(DsmError::internal(format!(
-            "{label}: engaged {:?}, wanted {want_engine:?}",
-            report.engine
+            "{label}: degraded={}, wanted {}",
+            report.degraded.map_or("none", |f| f.label()),
+            want.map_or("none", |f| f.label()),
         )));
     }
-    assert_identical(oracle, &sys, label)?;
+    assert_identical(&fixtures.oracle, &sys, label)?;
     sys.check_invariants()
         .map_err(|e| DsmError::internal(format!("{label}: merged state invalid: {e}")))?;
     println!(
-        "chaos: {label} plan={} engine={:?} degraded={} .. ok",
+        "chaos: {label} plan={} degraded={} .. ok",
         plan.spec(),
-        report.engine,
         report.degraded.map_or("none", |f| f.label()),
     );
     Ok(())
@@ -346,7 +364,7 @@ fn run_atomic_scenario(plan: FaultPlan, tmp: &Path, label: &str) -> Result<(), D
 fn run_mmap_scenario(plan: FaultPlan, tmp: &Path, label: &str) -> Result<(), DsmError> {
     let path = tmp.join("chaos.dsmt");
     if !path.exists() {
-        let trace = chaos_trace(11, 512, 2)?;
+        let trace = chaos_trace(11)?;
         let file = fs::File::create(&path)
             .map_err(|e| DsmError::internal(format!("{label}: create trace file: {e}")))?;
         codec::write_shared(std::io::BufWriter::new(file), &trace)
@@ -369,27 +387,12 @@ fn run_mmap_scenario(plan: FaultPlan, tmp: &Path, label: &str) -> Result<(), Dsm
     Ok(())
 }
 
-/// Dispatch one plan to the scenarios its site can reach. Shard sites
-/// run through both engines; I/O sites hit their subsystem directly.
+/// Dispatch one plan to the scenario its site can reach: shard sites
+/// replay the sharded fixture, I/O sites hit their subsystem directly.
 fn run_plan(plan: FaultPlan, label: &str, fixtures: &Fixtures, tmp: &Path) -> Result<(), DsmError> {
     match plan.site {
         FaultSite::WorkerPanic | FaultSite::MailboxSendFail | FaultSite::MailboxStall => {
-            run_shard_scenario(
-                plan,
-                &fixtures.spec,
-                &fixtures.components_trace,
-                &fixtures.components_oracle,
-                ShardEngine::Components,
-                &format!("{label}/components"),
-            )?;
-            run_shard_scenario(
-                plan,
-                &fixtures.spec,
-                &fixtures.rounds_trace,
-                &fixtures.rounds_oracle,
-                ShardEngine::Rounds,
-                &format!("{label}/rounds"),
-            )
+            run_shard_scenario(plan, fixtures, label)
         }
         FaultSite::JournalIo => run_journal_scenario(plan, tmp, label),
         FaultSite::AtomicWriteIo => run_atomic_scenario(plan, tmp, label),
@@ -397,43 +400,36 @@ fn run_plan(plan: FaultPlan, label: &str, fixtures: &Fixtures, tmp: &Path) -> Re
     }
 }
 
-/// Shared in-process state: one spec, one trace per engine, and the
-/// oracle state each sharded run must reproduce exactly.
+/// Shared in-process state: one spec, one phased trace, and the oracle
+/// state each sharded run must reproduce exactly.
 struct Fixtures {
     spec: SystemSpec,
-    components_trace: SharedTrace,
-    components_oracle: System,
-    rounds_trace: SharedTrace,
-    rounds_oracle: System,
+    trace: SharedTrace,
+    oracle: System,
 }
 
 impl Fixtures {
     fn build() -> Result<Fixtures, DsmError> {
         let spec = SystemSpec::vb();
-        let components_trace = chaos_trace(3, 6000, 2)?;
-        let rounds_trace = chaos_trace(7, 6000, 1)?;
-        let mut components_oracle = new_system(&spec, &components_trace)?;
-        components_oracle.run_shared(&components_trace);
-        let mut rounds_oracle = new_system(&spec, &rounds_trace)?;
-        rounds_oracle.run_shared(&rounds_trace);
+        let trace = chaos_trace(7)?;
+        let mut oracle = new_system(&spec, &trace)?;
+        oracle.run_shared(&trace);
         Ok(Fixtures {
             spec,
-            components_trace,
-            components_oracle,
-            rounds_trace,
-            rounds_oracle,
+            trace,
+            oracle,
         })
     }
 }
 
-/// The directed in-process matrix: every site, both engine-visible
-/// coordinate shapes, an absorbed (sub-watchdog) stall, and both sides
+/// The directed in-process matrix: every site, first and later rounds,
+/// parts and chunks, an absorbed (sub-watchdog) stall, and both sides
 /// of the I/O retry budget.
 const DIRECTED_SPECS: [&str; 10] = [
-    "worker-panic@r0.p0.s0",
+    "worker-panic@r3.p1.s2",
     "worker-panic@r1.p0.s1",
     "mailbox-send-fail@r1.p0.s0",
-    "mailbox-stall@r0.p0.s0:50",
+    "mailbox-stall@r2.p0.s1:50",
     "mailbox-stall@r1.p0.s0",
     "journal-io:2",
     "journal-io:5",

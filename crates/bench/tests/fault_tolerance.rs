@@ -16,6 +16,13 @@ const ABORT_AT: &str = "2w-vb16/LU";
 
 fn reproduce(base: &[&str], args: &[&str], abort_at: Option<&str>) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
+    // Hermetic: a caller's DSM_* settings (a fault plan, a job count,
+    // a storage override) must not reach the child.
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("DSM_") {
+            cmd.env_remove(name);
+        }
+    }
     cmd.args(["--scale", "0.05", "--figures", "fig3"]);
     cmd.args(base);
     cmd.args(args);
@@ -131,9 +138,8 @@ fn killed_sweep_resumes_to_byte_identical_output() {
     kill_and_resume_cycle("serial", &["--workloads", "lu"]);
 }
 
-/// Same cycle with the replay itself sharded two ways: the LU sweep
-/// points replay through the component shard planner and the FFT points
-/// (one sharing component) through the rounds engine, so the crash,
+/// Same cycle with the replay itself sharded two ways: the LU and FFT
+/// sweep points replay through the sharded rounds engine, so the crash,
 /// journal skip, and re-run paths are all proven on top of supervised
 /// sharded replay — not just the serial oracle.
 #[test]

@@ -426,8 +426,8 @@ fn run(o: &Options, spec: SystemSpec) -> Result<(), DsmError> {
         let engaged = system.run_sharded(&trace, o.shard_workers);
         match system.shard_report() {
             Some(r) if engaged > 1 => eprintln!(
-                "simulate: sharded replay across {engaged} workers ({:?} engine, {} parallel rounds, {} parallel / {} serial refs)",
-                r.engine, r.parallel_rounds, r.parallel_refs, r.serial_refs
+                "simulate: sharded replay across {engaged} workers ({} parallel rounds, {} parallel / {} serial refs)",
+                r.parallel_rounds, r.parallel_refs, r.serial_refs
             ),
             _ => eprintln!(
                 "simulate: no parallel work found; replayed on the single-thread oracle"

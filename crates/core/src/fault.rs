@@ -11,7 +11,7 @@
 //! * [`retry_transient`] — bounded retry-with-backoff around fallible
 //!   I/O, absorbing `EINTR`-class errors (injected or real) before the
 //!   caller's sticky-disable / structured-error path runs;
-//! * [`shard_plan`] — the sharded engines' one-shot read of the active
+//! * [`shard_plan`] — the sharded engine's one-shot read of the active
 //!   plan, filtered to shard sites.
 //!
 //! With no plan installed every consultation is a single relaxed atomic
@@ -93,8 +93,8 @@ pub fn retry_transient<T>(site: FaultSite, mut op: impl FnMut() -> io::Result<T>
     }
 }
 
-/// The active plan if it targets a sharded-replay site; the engines
-/// read this once at entry and thread it down, so workers never touch
+/// The active plan if it targets a sharded-replay site; the engine
+/// reads this once at entry and threads it down, so workers never touch
 /// the global.
 #[must_use]
 pub fn shard_plan() -> Option<FaultPlan> {
@@ -172,7 +172,7 @@ mod tests {
         let _guard = test_lock();
         // Env mutation is process-global; serialized by the same lock as
         // every other plan-touching test.
-        std::env::set_var(FAULT_PLAN_ENV, "no-such-site@r0.p0.s0");
+        std::env::set_var(FAULT_PLAN_ENV, "no-such-site@r1.p0.s0");
         let err = install_from_env().unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains(FAULT_PLAN_ENV), "{err}");
@@ -188,7 +188,7 @@ mod tests {
         let _guard = test_lock();
         install(Some(FaultPlan::from_spec("journal-io:1").unwrap()));
         assert!(shard_plan().is_none());
-        install(Some(FaultPlan::from_spec("worker-panic@r0.p0.s0").unwrap()));
+        install(Some(FaultPlan::from_spec("worker-panic@r1.p0.s0").unwrap()));
         assert!(shard_plan().is_some());
         install(None);
     }

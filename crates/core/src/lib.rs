@@ -105,5 +105,5 @@ pub use model::{Latencies, LatencyModel, NcTechnology};
 pub use phase::{LogHistogram, Phase, PhaseCounters, PhaseProfiler, PHASES};
 pub use probe::{EpochSample, Event, NoProbe, Probe, Tee};
 pub use runner::{run_workload, Report};
-pub use shard::{ShardEngine, ShardFault, ShardMsg, ShardReport, ShardTuning};
+pub use shard::{ShardFault, ShardMsg, ShardReport, ShardTuning};
 pub use system::{ClusterOccupancy, OccupancySnapshot, System};

@@ -263,9 +263,8 @@ pub fn run_trace_sharded(
         // `degraded` is appended so supervised recovery is visible to
         // the chaos harness without disturbing the grepped prefix.
         eprintln!(
-            "shard plan [{workload_name}/{}]: engine={:?} workers={} rounds={} parallel={} serial={} degraded={}",
+            "shard plan [{workload_name}/{}]: workers={} rounds={} parallel={} serial={} degraded={}",
             spec.name,
-            r.engine,
             r.workers,
             r.parallel_rounds,
             r.parallel_refs,

@@ -1,36 +1,31 @@
-//! Sharded trace replay: two engines, one byte-identity guarantee.
+//! Sharded trace replay: one engine, one byte-identity guarantee.
 //!
-//! Both engines reproduce [`System::run_shared`]'s final state
-//! **exactly, for any worker count** — the single-threaded path stays
-//! the oracle (`tests/sharded_equiv.rs` pins the identity). Which
-//! engine runs is decided by the trace's sharing structure:
+//! [`System::run_sharded`] reproduces [`System::run_shared`]'s final
+//! state **exactly, for any worker count** — the single-threaded path
+//! stays the oracle (`tests/sharded_equiv.rs` pins the identity). The
+//! engine ([`rounds`]) partitions the active clusters across workers
+//! ([`SharedTrace::cluster_partition`]) and cuts the trace into
+//! conservative rounds: maximal runs of references that provably stay
+//! inside their own part replay in parallel, everything else replays
+//! serially on the main system.
 //!
-//! * **Component engine** (this module): [`SharedTrace::shard_plan`]
-//!   splits the cluster set into connected components of the
-//!   page-sharing graph. Under pure first-touch placement each
-//!   component's reachable machine state — cluster units (caches, NC,
-//!   PC, bus), directory entries, placement slots, R-NUMA counters —
-//!   is disjoint from every other component's, so components replay
-//!   concurrently with no coordination and merge back in ascending
-//!   shard order.
-//!
-//! * **Rounds engine** ([`rounds`]): when the sharing graph is a single
-//!   component (the paper's all-to-all kernels: FFT transpose, radix
-//!   permutation), clusters are partitioned *within* the component and
-//!   the trace is cut into conservative time-stepped rounds — maximal
-//!   runs whose references provably stay inside one partition replay in
-//!   parallel, everything else replays serially on the main system.
+//! A trace whose page-sharing graph splits into several components
+//! ([`SharedTrace::shard_plan`]) is partitioned along component
+//! boundaries. Under first-touch placement no reference then reaches a
+//! foreign part, so the planner marks the whole trace round-safe and it
+//! replays as one parallel round. The paper's all-to-all kernels are a
+//! single component; their parts are balanced cluster groups, and only
+//! the phases that stay cluster-local run in parallel.
 //!
 //! Workers stream per-chunk [`Metrics`] deltas to the calling thread
 //! through bounded SPSC [`mailbox`]es, tagged with their round and
 //! intra-round sequence number; the committer drains workers in
 //! ascending part order, folding chunks in the deterministic
 //! `(round, issuing part, seq)` order, and the merged structural state
-//! is reconciled against the streamed totals at join. The engine,
-//! worker count and parallel/serial split of the last sharded run are
-//! recorded in [`System::shard_report`] so callers and CI can assert
-//! that a workload really ran parallel instead of silently falling
-//! back.
+//! is reconciled against the streamed totals at join. The worker count
+//! and parallel/serial split of the last sharded run are recorded in
+//! [`System::shard_report`] so callers and CI can assert that a
+//! workload really ran parallel instead of silently falling back.
 //!
 //! # Fallback
 //!
@@ -44,21 +39,21 @@
 //!   homes, coupling clusters across partitions);
 //! * the placement map is already populated or counters are non-zero
 //!   (a prior run on the same system: clones would not be pristine);
-//! * the rounds planner finds no run of independent references long
-//!   enough to be worth a round (degenerate or fully serial traces).
-
+//! * the planner finds no run of independent references long enough to
+//!   be worth a round (degenerate or fully serial traces).
+//!
 //! # Supervision
 //!
 //! Workers run under `catch_unwind`, and the committer drains mailboxes
 //! with a deadline-based watchdog ([`ShardTuning::watchdog_ms`]). On any
 //! worker failure — a panic, a stall (no chunk within the watchdog
-//! window), or an abandoned range — the supervisor tears the shard run
-//! down and replays the trace on the single-threaded oracle from the
-//! pristine pre-run state, so the output is byte-identical to an
-//! unfaulted run. The degradation is never silent: the cause is
-//! recorded in [`ShardReport::degraded`] and echoed on stderr. The
-//! injection sites that exercise this machinery live in
-//! [`crate::fault`] and cost one relaxed atomic load when disarmed.
+//! window), or an abandoned range — the supervisor restores the
+//! pristine pre-run state and replays the trace on the single-threaded
+//! oracle, so the output is byte-identical to an unfaulted run. The
+//! degradation is never silent: the cause is recorded in
+//! [`ShardReport::degraded`] and echoed on stderr. The injection sites
+//! that exercise this machinery live in [`crate::fault`] and cost one
+//! relaxed atomic load when disarmed.
 
 pub mod mailbox;
 pub mod rounds;
@@ -69,7 +64,6 @@ use dsm_types::{DecodedRef, FaultPlan, FaultSite};
 use crate::metrics::Metrics;
 use crate::system::System;
 
-use mailbox::RecvDeadline;
 use std::time::{Duration, Instant};
 
 /// A message streamed from a shard worker to the committer.
@@ -77,10 +71,9 @@ use std::time::{Duration, Instant};
 pub enum ShardMsg {
     /// The counters gained since the worker's previous chunk.
     Chunk {
-        /// The parallel round this chunk belongs to (the component
-        /// engine tags its per-component replays with the shard
-        /// number). Combined with the drain order — ascending worker
-        /// within a round — and `seq`, chunks fold in the deterministic
+        /// The parallel round this chunk belongs to, numbered from 1.
+        /// Combined with the drain order — ascending worker within a
+        /// round — and `seq`, chunks fold in the deterministic
         /// `(round, issuing part, seq)` order.
         round: u32,
         /// Position of this chunk within its worker's round, from 0.
@@ -141,15 +134,6 @@ impl ShardTuning {
     }
 }
 
-/// Which sharded-replay engine a run used (see the [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardEngine {
-    /// Independent sharing components replayed concurrently.
-    Components,
-    /// Intra-component time-stepped rounds ([`rounds`]).
-    Rounds,
-}
-
 /// Why a sharded run degraded to the single-threaded oracle — the
 /// supervisor's diagnosis, recorded in [`ShardReport::degraded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,25 +161,21 @@ impl ShardFault {
 }
 
 /// How a sharded replay executed — the record behind
-/// [`System::shard_report`], used to assert that a workload engaged a
-/// parallel engine rather than silently falling back to the oracle.
+/// [`System::shard_report`], used to assert that a workload ran
+/// parallel rather than silently falling back to the oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardReport {
-    /// The engine that ran.
-    pub engine: ShardEngine,
     /// Worker threads actually engaged (1 = serial oracle path).
     pub workers: usize,
-    /// Parallel rounds executed (0 for the component engine, which
-    /// needs no rounds — components never interact).
+    /// Parallel rounds executed (1 for a multi-component trace, whose
+    /// component-aligned parts never interact).
     pub parallel_rounds: usize,
     /// References replayed inside parallel rounds.
     pub parallel_refs: u64,
-    /// References replayed serially on the main system (0 for the
-    /// component engine: every reference replays on a worker).
+    /// References replayed serially on the main system.
     pub serial_refs: u64,
     /// `Some` when the supervisor tore the sharded run down and
-    /// re-ran the trace on the oracle; the engine field then names the
-    /// engine that was *attempted* while workers/refs describe the
+    /// re-ran the trace on the oracle; workers/refs then describe the
     /// oracle replay that actually produced the output.
     pub degraded: Option<ShardFault>,
 }
@@ -270,161 +250,22 @@ impl System {
             self.run_shared(trace);
             return 1;
         }
-        let plan = trace.shard_plan();
-        if plan.len() < 2 {
-            // One sharing component: parallelize inside it with the
-            // round-based engine instead of giving up.
-            return self.run_rounds(trace, workers, tuning, fplan);
-        }
-        let threads = workers.min(plan.len());
-
-        let mut worker_systems: Vec<System> = Vec::with_capacity(threads);
-        let mut streamed = Metrics::new();
-        let mut panicked = false;
-        let mut stalled = false;
-        let mut incomplete = false;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            let mut receivers = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let mut sys = self.clone();
-                let (mut tx, rx) = mailbox::channel(tuning.mailbox_capacity);
-                receivers.push(rx);
-                let plan = &plan;
-                handles.push(scope.spawn(move || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                        let part = u32::try_from(t).expect("worker count fits u32");
-                        let mut completed = true;
-                        // Round-robin: thread `t` owns shards t, t+threads, ...
-                        // replayed in ascending shard (= earliest-trace) order.
-                        for s in (t..plan.len()).step_by(threads) {
-                            let round = u32::try_from(s).expect("shard count fits u32");
-                            if !replay_indices(
-                                &mut sys,
-                                trace,
-                                &plan.shards()[s],
-                                tuning,
-                                &mut tx,
-                                round,
-                                part,
-                                fplan,
-                            ) {
-                                completed = false;
-                                break;
-                            }
-                        }
-                        (sys, completed)
-                    }))
-                }));
-            }
-            // Drain mailboxes worker-by-worker under the stall watchdog.
-            // Sums are commutative, so the drain order cannot affect the
-            // totals; draining one worker to completion never deadlocks
-            // another (each send only waits on its own mailbox's
-            // committer cursor).
-            'drain: for rx in &mut receivers {
-                loop {
-                    let deadline = Instant::now() + Duration::from_millis(tuning.watchdog_ms);
-                    match rx.recv_deadline(deadline) {
-                        RecvDeadline::Msg(ShardMsg::Chunk { delta, .. }) => {
-                            streamed.merge(&delta);
-                        }
-                        RecvDeadline::Closed => break,
-                        RecvDeadline::TimedOut => {
-                            stalled = true;
-                            break 'drain;
-                        }
-                    }
-                }
-            }
-            // On a stall, drop every receiver before joining: closed
-            // mailboxes make the workers' sends fail, so blocked and
-            // stalled workers alike abandon their ranges promptly
-            // instead of wedging the join.
-            if stalled {
-                receivers.clear();
-            }
-            for handle in handles {
-                match handle.join() {
-                    Ok(Ok((sys, completed))) => {
-                        incomplete |= !completed;
-                        worker_systems.push(sys);
-                    }
-                    Ok(Err(_)) | Err(_) => panicked = true,
-                }
-            }
-        });
-        if let Some(cause) = diagnose(panicked, stalled, incomplete) {
-            // `self` has not been touched yet (workers replayed clones),
-            // so the oracle re-run starts from the pristine state.
-            return self.degrade_to_oracle(trace, ShardEngine::Components, cause);
-        }
-
-        // Merge in ascending thread order. Every piece of state is
-        // either a commutative sum (metrics, per-cluster counts) or
-        // touched by exactly one shard (cluster units, directory
-        // entries, placement slots, R-NUMA counters), so this
-        // reconstructs the oracle's final state exactly.
-        let mut total = Metrics::new();
-        for w in &worker_systems {
-            total.merge(&w.metrics);
-        }
-        debug_assert_eq!(
-            streamed, total,
-            "streamed chunk deltas disagree with merged worker metrics"
-        );
-        self.metrics.merge(&total);
-        for w in &mut worker_systems {
-            for (mine, theirs) in self.per_cluster.iter_mut().zip(&w.per_cluster) {
-                mine.merge(theirs);
-            }
-            self.dir.absorb_disjoint(&w.dir);
-            self.rnuma.absorb_disjoint(&w.rnuma);
-            for (page, cluster) in w.home.placement().iter() {
-                self.home.preassign(page, cluster);
-            }
-        }
-        for c in 0..self.clusters.len() {
-            if let Some(s) = plan.shard_of_cluster(c) {
-                let owner = s % threads;
-                std::mem::swap(
-                    &mut self.clusters[c],
-                    &mut worker_systems[owner].clusters[c],
-                );
-            }
-        }
-        self.shard_report = Some(ShardReport {
-            engine: ShardEngine::Components,
-            workers: threads,
-            parallel_rounds: 0,
-            parallel_refs: trace.len() as u64,
-            serial_refs: 0,
-            degraded: None,
-        });
-        threads
+        self.run_rounds(trace, workers, tuning, fplan)
     }
 
     /// Supervised recovery: replays `trace` on the single-threaded
     /// oracle after a sharded run failed. The caller guarantees `self`
-    /// is back in its pristine pre-run state (the component engine
-    /// never mutated it; the rounds engine restores a saved clone), so
-    /// the result is byte-identical to a run that never sharded. The
-    /// degradation is recorded in the shard report and echoed on
-    /// stderr — never silent.
-    pub(crate) fn degrade_to_oracle(
-        &mut self,
-        trace: &SharedTrace,
-        engine: ShardEngine,
-        cause: ShardFault,
-    ) -> usize {
+    /// is back in its pristine pre-run state (the engine restores a
+    /// saved clone), so the result is byte-identical to a run that
+    /// never sharded. The degradation is recorded in the shard report
+    /// and echoed on stderr — never silent.
+    pub(crate) fn degrade_to_oracle(&mut self, trace: &SharedTrace, cause: ShardFault) -> usize {
         eprintln!(
-            "shard supervisor: {} during {:?} replay; degrading to the single-threaded oracle",
-            cause.label(),
-            engine
+            "shard supervisor: {} during sharded replay; degrading to the single-threaded oracle",
+            cause.label()
         );
         self.run_shared(trace);
         self.shard_report = Some(ShardReport {
-            engine,
             workers: 1,
             parallel_rounds: 0,
             parallel_refs: 0,
@@ -487,17 +328,17 @@ fn chunk_fault_gate(
     }
 }
 
-/// Replays one shard's trace positions on `sys`, streaming a metrics
-/// delta roughly every `tuning.chunk_refs` references, tagged with
-/// `round` and an intra-round sequence number. The final partial chunk
-/// is flushed by the caller's sender drop closing the mailbox after the
-/// last explicit send here.
+/// Replays one part's trace positions of a round on `sys`, streaming a
+/// metrics delta roughly every `tuning.chunk_refs` references, tagged
+/// with `round` and an intra-round sequence number. The final partial
+/// chunk is flushed by the caller's sender drop closing the mailbox
+/// after the last explicit send here.
 ///
 /// Returns `true` when the whole range replayed; `false` when the
 /// worker abandoned it (an injected fault, or a real send failure —
 /// the committer vanished), in which case the supervisor degrades the
 /// run to the oracle and this system's partial state is discarded.
-#[allow(clippy::too_many_arguments)] // one internal call site per engine
+#[allow(clippy::too_many_arguments)] // one internal call site
 fn replay_indices(
     sys: &mut System,
     trace: &SharedTrace,
@@ -577,6 +418,15 @@ mod tests {
         SharedTrace::from_refs(topo, geo, &refs)
     }
 
+    /// The 400-reference fixture is far below the default
+    /// `min_parallel_refs`; this threshold lets it form a round.
+    fn small_threshold() -> ShardTuning {
+        ShardTuning {
+            min_parallel_refs: 64,
+            ..ShardTuning::default()
+        }
+    }
+
     #[test]
     fn sharded_matches_oracle_and_reports_parallelism() {
         let topo = Topology::new(2, 4).unwrap();
@@ -585,9 +435,14 @@ mod tests {
         let mut oracle = System::new(SystemSpec::vb(), topo, geo, 0).unwrap();
         oracle.run_shared(&trace);
         let mut sharded = System::new(SystemSpec::vb(), topo, geo, 0).unwrap();
-        let used = sharded.run_sharded(&trace, 2);
+        let used = sharded.run_sharded_with(&trace, 2, small_threshold());
         assert_eq!(used, 2);
         assert_eq!(sharded.metrics(), oracle.metrics());
+        // Component-aligned parts: the whole trace is one round.
+        let report = sharded.shard_report().unwrap();
+        assert_eq!(report.parallel_rounds, 1);
+        assert_eq!(report.parallel_refs, trace.len() as u64);
+        assert_eq!(report.serial_refs, 0);
     }
 
     #[test]
@@ -595,7 +450,7 @@ mod tests {
         let topo = Topology::new(2, 4).unwrap();
         let geo = Geometry::paper_default();
         // Both clusters read page 0: one component, and far too short
-        // for the rounds engine to cut a parallel round out of.
+        // for the planner to cut a parallel round out of.
         let refs = vec![
             MemRef::read(ProcId(0), Addr(0)),
             MemRef::read(ProcId(4), Addr(0)),
@@ -605,9 +460,9 @@ mod tests {
         assert_eq!(sys.run_sharded(&trace, 4), 1);
         assert_eq!(sys.metrics().shared_refs, 2);
         let report = sys.shard_report().unwrap();
-        assert_eq!(report.engine, ShardEngine::Rounds);
         assert_eq!(report.workers, 1);
         assert_eq!(report.parallel_rounds, 0);
+        assert_eq!(report.serial_refs, 2);
     }
 
     #[test]
@@ -637,7 +492,6 @@ mod tests {
         assert_eq!(sys.run_sharded_with(&trace, 2, tuning), 2);
         assert_eq!(sys.metrics(), oracle.metrics());
         let report = sys.shard_report().unwrap();
-        assert_eq!(report.engine, ShardEngine::Components);
         assert_eq!(report.workers, 2);
         assert_eq!(report.parallel_refs, trace.len() as u64);
         assert_eq!(report.degraded, None);
@@ -648,7 +502,9 @@ mod tests {
     }
 
     /// Runs the faulted replay and asserts it degraded to the oracle
-    /// with byte-identical state and the expected diagnosis.
+    /// with byte-identical state and the expected diagnosis. The
+    /// fixture replays as round 1, part 0 = cluster 0 and part 1 =
+    /// cluster 1; each part's 200 references end in chunk seq 0.
     fn assert_degrades(tuning: ShardTuning, fplan: Option<FaultPlan>, expect: ShardFault) {
         let topo = Topology::new(2, 4).unwrap();
         let geo = Geometry::paper_default();
@@ -667,7 +523,6 @@ mod tests {
             );
         }
         let report = sys.shard_report().unwrap();
-        assert_eq!(report.engine, ShardEngine::Components, "attempted engine");
         assert_eq!(report.workers, 1);
         assert_eq!(report.serial_refs, trace.len() as u64);
         assert_eq!(report.degraded, Some(expect));
@@ -675,11 +530,9 @@ mod tests {
 
     #[test]
     fn injected_worker_panic_degrades_byte_identical() {
-        // 400 refs < chunk_refs, so the final flush is chunk seq 0 of
-        // shard (round) 0 on thread (part) 0: guaranteed to fire.
         assert_degrades(
-            ShardTuning::default(),
-            plan("worker-panic@r0.p0.s0"),
+            small_threshold(),
+            plan("worker-panic@r1.p0.s0"),
             ShardFault::WorkerPanic,
         );
     }
@@ -687,7 +540,7 @@ mod tests {
     #[test]
     fn injected_send_failure_degrades_byte_identical() {
         assert_degrades(
-            ShardTuning::default(),
+            small_threshold(),
             plan("mailbox-send-fail@r1.p1.s0"),
             ShardFault::WorkerIncomplete,
         );
@@ -697,12 +550,12 @@ mod tests {
     fn injected_stall_trips_watchdog_and_degrades() {
         let tuning = ShardTuning {
             watchdog_ms: 50,
-            ..ShardTuning::default()
+            ..small_threshold()
         };
         // Default 120s stall budget: only the watchdog can resolve it.
         assert_degrades(
             tuning,
-            plan("mailbox-stall@r0.p0.s0"),
+            plan("mailbox-stall@r1.p0.s0"),
             ShardFault::MailboxStall,
         );
     }
@@ -720,8 +573,8 @@ mod tests {
         let used = sys.run_sharded_inner(
             &trace,
             2,
-            ShardTuning::default(),
-            plan("mailbox-stall@r0.p0.s0:20"),
+            small_threshold(),
+            plan("mailbox-stall@r1.p0.s0:20"),
         );
         assert_eq!(used, 2);
         assert_eq!(sys.metrics(), oracle.metrics());
@@ -734,7 +587,7 @@ mod tests {
         let geo = Geometry::paper_default();
         let trace = two_component_trace(topo, geo);
         let mut sys = System::new(SystemSpec::base(), topo, geo, 0).unwrap();
-        let used = sys.run_sharded_inner(&trace, 2, ShardTuning::default(), plan("journal-io:2"));
+        let used = sys.run_sharded_inner(&trace, 2, small_threshold(), plan("journal-io:2"));
         assert_eq!(used, 2);
         assert_eq!(sys.shard_report().unwrap().degraded, None);
     }

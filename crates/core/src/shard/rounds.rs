@@ -1,16 +1,16 @@
-//! Intra-component sharded replay: conservative time-stepped rounds.
+//! The sharded replay engine: conservative time-stepped rounds over a
+//! cluster partition.
 //!
-//! The component engine in the parent module needs the trace's sharing
-//! graph to split into independent components; the paper's all-to-all
-//! kernels (FFT transpose, radix permutation) form one giant component
-//! and used to fall back to the serial oracle. This engine parallelizes
-//! *inside* a component while keeping the byte-identity guarantee, in
-//! three steps:
+//! The engine parallelizes a trace while keeping the byte-identity
+//! guarantee, in three steps:
 //!
 //! 1. **Partition.** [`SharedTrace::cluster_partition`] splits the
 //!    active clusters (and, under first-touch placement, every page
 //!    they home) across up to `workers` parts, balanced by reference
-//!    count.
+//!    count. A trace with several sharing components is split along
+//!    component boundaries; a single-component trace (the paper's
+//!    all-to-all kernels: FFT transpose, radix permutation) is split by
+//!    cluster.
 //!
 //! 2. **Plan.** A single forward scan classifies each reference against
 //!    a conservative static model of the directory: per block, a
@@ -24,7 +24,10 @@
 //!    to the parts it touches; a reference whose footprint stays inside
 //!    its issuing cluster's own part is *round-safe*. Maximal runs of
 //!    round-safe references at least `min_parallel_refs` long become
-//!    parallel **rounds**; everything else stays in serial segments.
+//!    parallel **rounds**, numbered from 1; everything else stays in
+//!    serial segments. On a component-aligned partition every
+//!    reference's footprint stays inside its component (barring a
+//!    limited-pointer broadcast), so the whole trace is one round.
 //!
 //! 3. **Execute.** Serial segments replay in trace order on the main
 //!    system ([`System::replay_range`]), which is trivially
@@ -58,7 +61,7 @@ use dsm_trace::{SharedTrace, BATCH};
 use dsm_types::{BlockAddr, ClusterSet, DecodedRef};
 
 use super::mailbox::RecvDeadline;
-use super::{diagnose, mailbox, replay_indices, ShardEngine, ShardMsg, ShardReport, ShardTuning};
+use super::{diagnose, mailbox, replay_indices, ShardMsg, ShardReport, ShardTuning};
 use crate::config::DirectorySpec;
 use crate::metrics::Metrics;
 use crate::system::System;
@@ -236,12 +239,12 @@ fn plan_rounds(
 }
 
 impl System {
-    /// Replays a single-component trace with the round-based engine
-    /// (see the module docs). Returns the number of workers engaged;
-    /// `1` means the planner found no parallel round worth running and
-    /// the whole trace replayed on the serial oracle path (the
+    /// Replays a trace with the round-based engine (see the module
+    /// docs). Returns the number of workers engaged; `1` means the
+    /// planner found no parallel round worth running and the whole
+    /// trace replayed on the serial oracle path (the
     /// [`System::shard_report`] still records the split). The caller
-    /// (`run_sharded_with`) has already verified eligibility: a
+    /// (`run_sharded_inner`) has already verified eligibility: a
     /// pristine system with static homes.
     pub(crate) fn run_rounds(
         &mut self,
@@ -255,7 +258,6 @@ impl System {
         let serial_only = |sys: &mut System| {
             sys.run_shared(trace);
             sys.shard_report = Some(ShardReport {
-                engine: ShardEngine::Rounds,
                 workers: 1,
                 parallel_rounds: 0,
                 parallel_refs: 0,
@@ -401,14 +403,13 @@ impl System {
             // Discard the partially-replayed state and re-run from the
             // saved pristine system: byte-identical to the oracle.
             *self = pristine;
-            return self.degrade_to_oracle(trace, ShardEngine::Rounds, cause);
+            return self.degrade_to_oracle(trace, cause);
         }
         debug_assert_eq!(
             streamed, expected,
             "streamed chunk deltas disagree with merged worker metrics"
         );
         self.shard_report = Some(ShardReport {
-            engine: ShardEngine::Rounds,
             workers: parts,
             parallel_rounds: plan.rounds,
             parallel_refs: plan.parallel_refs,
@@ -479,7 +480,6 @@ mod tests {
             let used = sharded.run_sharded_with(&trace, 4, tiny_tuning());
             assert!(used >= 2, "{}: rounds engine should engage", spec.name);
             let report = sharded.shard_report().unwrap();
-            assert_eq!(report.engine, ShardEngine::Rounds, "{}", spec.name);
             assert!(report.parallel_rounds >= 1, "{}", spec.name);
             assert_eq!(sharded.metrics(), oracle.metrics(), "{}", spec.name);
             for c in 0..topo.clusters() {
@@ -553,26 +553,8 @@ mod tests {
                 );
             }
             let report = sys.shard_report().unwrap();
-            assert_eq!(report.engine, ShardEngine::Rounds, "{spec}");
             assert_eq!(report.degraded, Some(expect), "{spec}");
             assert_eq!(report.serial_refs, trace.len() as u64, "{spec}");
         }
-    }
-
-    #[test]
-    fn trivial_trace_reports_a_serial_plan() {
-        let topo = Topology::new(2, 4).unwrap();
-        let geo = Geometry::paper_default();
-        let refs = vec![
-            MemRef::read(ProcId(0), Addr(0)),
-            MemRef::read(ProcId(4), Addr(0)),
-        ];
-        let trace = SharedTrace::from_refs(topo, geo, &refs);
-        let mut sys = System::new(SystemSpec::base(), topo, geo, 0).unwrap();
-        assert_eq!(sys.run_sharded(&trace, 4), 1);
-        let report = sys.shard_report().unwrap();
-        assert_eq!(report.engine, ShardEngine::Rounds);
-        assert_eq!(report.parallel_rounds, 0);
-        assert_eq!(report.serial_refs, 2);
     }
 }

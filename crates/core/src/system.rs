@@ -450,44 +450,29 @@ impl<P: Probe> System<P> {
             "trace geometry does not match system geometry"
         );
         let static_homes = self.migrep.is_none() && self.home.placement().placed_pages() == 0;
-        if !static_homes {
+        if static_homes {
+            self.replay_range(trace, 0, trace.len());
+        } else {
             for r in trace.iter() {
                 self.process(r);
             }
-            return;
-        }
-        // Prefetch one batch ahead: after decoding batch N, peek batch
-        // N+1's columns (registers only, no DecodedRef materialization)
-        // and issue prefetches for the machine lines it will touch —
-        // processor-cache tag rows, directory entries, NC lines — so
-        // batch N's processing overlaps batch N+1's memory latency.
-        // Processing order is unchanged; prefetches are hints. The peek
-        // deliberately avoids a second decoded buffer: double-buffering
-        // forces both batches' lanes through the stack, which measures
-        // slower than re-reading the columns.
-        let mut batch = [DecodedRef::default(); BATCH];
-        let mut start = 0;
-        loop {
-            let n = trace.decode_batch(start, &mut batch);
-            if n == 0 {
-                break;
-            }
-            trace.peek_batch(start + n, BATCH, |cl, lp, block| {
-                self.prefetch_line(cl, lp, block);
-            });
-            for d in &batch[..n] {
-                self.process_decoded(*d);
-            }
-            start += n;
         }
     }
 
-    /// Replays the half-open trace range `[start, end)` with the same
-    /// batched decode + one-batch-ahead prefetch discipline as
-    /// [`System::run_shared`] — the serial-segment primitive of the
-    /// intra-component sharded engine (`crate::shard::rounds`). Requires
-    /// static homes, which the sharded engine's eligibility check
-    /// already guarantees.
+    /// Replays the half-open trace range `[start, end)` through the
+    /// batched decode — the one replay loop behind [`System::run_shared`]
+    /// and the sharded engine's serial segments (`crate::shard::rounds`).
+    /// Requires static homes, which both callers check.
+    ///
+    /// Prefetch one batch ahead: after decoding batch N, peek batch
+    /// N+1's columns (registers only, no `DecodedRef` materialization)
+    /// and issue prefetches for the machine lines it will touch —
+    /// processor-cache tag rows, directory entries, NC lines — so batch
+    /// N's processing overlaps batch N+1's memory latency. Processing
+    /// order is unchanged; prefetches are hints. The peek deliberately
+    /// avoids a second decoded buffer: double-buffering forces both
+    /// batches' lanes through the stack, which measures slower than
+    /// re-reading the columns.
     pub(crate) fn replay_range(&mut self, trace: &SharedTrace, start: usize, end: usize) {
         debug_assert!(end <= trace.len());
         let mut batch = [DecodedRef::default(); BATCH];

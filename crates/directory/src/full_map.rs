@@ -339,35 +339,8 @@ impl FullMapDirectory {
             .count()
     }
 
-    /// Merges `other`'s live entries into this directory. The two
-    /// directories must track **disjoint** block sets (the sharded-replay
-    /// invariant: each shard owns the blocks of its own pages); a block
-    /// live in both trips a debug assertion, and in release the absorbed
-    /// entry wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directories serve different cluster counts.
-    pub fn absorb_disjoint(&mut self, other: &FullMapDirectory) {
-        assert_eq!(
-            self.clusters, other.clusters,
-            "cannot merge directories of different machines"
-        );
-        for (i, e) in other.entries.iter().enumerate() {
-            if e.presence == 0 && e.owner == NO_OWNER {
-                continue;
-            }
-            let slot = self.entry_mut(BlockAddr(i as u64));
-            debug_assert!(
-                slot.presence == 0 && slot.owner == NO_OWNER,
-                "block {i} tracked by both directories"
-            );
-            *slot = *e;
-        }
-    }
-
     /// Overwrites this directory's entry for `block` with `other`'s — the
-    /// per-ownership entry copy of the intra-component sharded merge,
+    /// per-ownership entry copy of the sharded merge,
     /// where `other` (the owning worker's clone) is authoritative for
     /// every block homed in its partition. A block `other` never grew
     /// storage for is reset to the empty entry here too, so the copy is

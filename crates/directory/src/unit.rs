@@ -147,25 +147,9 @@ impl DirectoryUnit {
         }
     }
 
-    /// Merges `other`'s live entries into this directory; the two must
-    /// track disjoint block sets (the sharded-replay merge step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directories are of different organizations or shapes.
-    pub fn absorb_disjoint(&mut self, other: &DirectoryUnit) {
-        match (self, other) {
-            (DirectoryUnit::FullMap(a), DirectoryUnit::FullMap(b)) => a.absorb_disjoint(b),
-            (DirectoryUnit::LimitedPointer(a), DirectoryUnit::LimitedPointer(b)) => {
-                a.absorb_disjoint(b);
-            }
-            _ => panic!("cannot merge directories of different organizations"),
-        }
-    }
-
     /// Overwrites this directory's entry for `block` with `other`'s
     /// (dropping it if `other` does not track the block) — the exact
-    /// per-ownership entry copy of the intra-component sharded merge.
+    /// per-ownership entry copy of the sharded merge.
     ///
     /// # Panics
     ///

@@ -541,7 +541,11 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("dsm-codec-mmap-{}.dsmt", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        let mapped = open_shared_mapped(&path).unwrap();
+        // `open_shared_mapped` minus the DSM_NO_MMAP read, so the
+        // caller's environment cannot turn the mapping off.
+        let map = Mapping::open_with(&path, false).unwrap();
+        map.revalidate().unwrap();
+        let mapped = shared_from_mapping(Arc::new(map)).unwrap();
         assert_eq!(mapped.iter().collect::<Vec<_>>(), refs);
         #[cfg(all(
             target_os = "linux",

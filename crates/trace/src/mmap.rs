@@ -69,10 +69,18 @@ impl Mapping {
     /// Returns the underlying I/O error if the file cannot be opened,
     /// sized, mapped, or (on the fallback path) read.
     pub fn open(path: &Path) -> io::Result<Mapping> {
+        Mapping::open_with(path, no_mmap_override())
+    }
+
+    /// [`Mapping::open`] with the `DSM_NO_MMAP` override passed in
+    /// (`owned = true` reads the file into memory). Tests call this
+    /// directly, so the caller's environment cannot change what they
+    /// map.
+    pub(crate) fn open_with(path: &Path, owned: bool) -> io::Result<Mapping> {
         let file = File::open(path)?;
         let len = usize::try_from(file.metadata()?.len())
             .map_err(|_| io::Error::other("file too large to map on this platform"))?;
-        if len == 0 || no_mmap_override() {
+        if len == 0 || owned {
             drop(file);
             return Ok(Mapping::from_vec(std::fs::read(path)?));
         }
@@ -334,7 +342,7 @@ mod tests {
             .unwrap()
             .write_all(&payload)
             .unwrap();
-        let map = Mapping::open(&path).unwrap();
+        let map = Mapping::open_with(&path, false).unwrap();
         assert_eq!(map.bytes(), &payload[..]);
         assert_eq!(map.len(), payload.len());
         assert!(!map.is_empty());
@@ -351,7 +359,7 @@ mod tests {
     fn empty_file_maps_to_empty_slice() {
         let path = temp_path("empty");
         std::fs::File::create(&path).unwrap();
-        let map = Mapping::open(&path).unwrap();
+        let map = Mapping::open_with(&path, false).unwrap();
         assert!(map.is_empty());
         assert_eq!(map.bytes(), &[] as &[u8]);
         assert!(!map.is_kernel_mapped());
@@ -380,7 +388,7 @@ mod tests {
             .unwrap()
             .write_all(&vec![7u8; 8192])
             .unwrap();
-        let map = Mapping::open(&path).unwrap();
+        let map = Mapping::open_with(&path, false).unwrap();
         map.revalidate().expect("intact file revalidates");
         if map.is_kernel_mapped() {
             // Shrink the file under the live mapping. revalidate only
@@ -411,7 +419,7 @@ mod tests {
             .unwrap()
             .write_all(&[9u8; 4096])
             .unwrap();
-        let map = Mapping::open(&path).unwrap();
+        let map = Mapping::open_with(&path, false).unwrap();
         if map.is_kernel_mapped() {
             let _guard = fault::test_lock();
             fault::install(Some(fault::FaultPlan::from_spec("mmap-truncate").unwrap()));
@@ -432,7 +440,7 @@ mod tests {
             .unwrap()
             .write_all(&payload)
             .unwrap();
-        let map = std::sync::Arc::new(Mapping::open(&path).unwrap());
+        let map = std::sync::Arc::new(Mapping::open_with(&path, false).unwrap());
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let map = std::sync::Arc::clone(&map);

@@ -579,7 +579,7 @@ impl SharedTrace {
 
     /// Decodes up to `out.len()` references *from the listed trace
     /// positions* (a gather), returning how many were decoded. The
-    /// sharded replay engine walks a [`ShardPlan`] shard's index list
+    /// sharded replay walks each part's index list of a parallel round
     /// through this in [`BATCH`]-sized windows; semantics per entry are
     /// identical to [`SharedTrace::decode_batch`] at that index.
     ///
@@ -592,59 +592,44 @@ impl SharedTrace {
         let block_shift = self.geo.block_bytes().trailing_zeros();
         let page_shift = self.geo.page_bytes().trailing_zeros();
         let ppc = self.topo.procs_per_cluster();
-        if self.wide_proc.is_empty() {
-            for (slot, &i) in out[..n].iter_mut().zip(indices) {
-                let i = i as usize;
-                let packed = self.proc_op[i];
-                let cl = u16::from(self.issuing_cluster[i]);
-                let a = self.addr.at(i);
-                *slot = DecodedRef {
-                    cluster: ClusterId(cl),
-                    lproc: LocalProcId(u16::from(packed & PROC_MASK) - cl * ppc),
-                    write: packed & OP_BIT != 0,
-                    first_touch: packed & FIRST_TOUCH_BIT != 0,
-                    block: BlockAddr(a >> block_shift),
-                    page: PageAddr(a >> page_shift),
-                    home: ClusterId(u16::from(self.home_cluster[i])),
-                };
-            }
-        } else {
-            for (slot, &i) in out[..n].iter_mut().zip(indices) {
-                let i = i as usize;
-                let packed = self.proc_op[i];
-                let cl = u16::from(self.issuing_cluster[i]);
-                let a = self.addr.at(i);
-                *slot = DecodedRef {
-                    cluster: ClusterId(cl),
-                    lproc: LocalProcId(self.wide_proc[i] - cl * ppc),
-                    write: packed & OP_BIT != 0,
-                    first_touch: packed & FIRST_TOUCH_BIT != 0,
-                    block: BlockAddr(a >> block_shift),
-                    page: PageAddr(a >> page_shift),
-                    home: ClusterId(u16::from(self.home_cluster[i])),
-                };
-            }
+        for (slot, &i) in out[..n].iter_mut().zip(indices) {
+            let i = i as usize;
+            let packed = self.proc_op[i];
+            let cl = u16::from(self.issuing_cluster[i]);
+            let proc = if self.wide_proc.is_empty() {
+                u16::from(packed & PROC_MASK)
+            } else {
+                self.wide_proc[i]
+            };
+            let a = self.addr.at(i);
+            *slot = DecodedRef {
+                cluster: ClusterId(cl),
+                lproc: LocalProcId(proc - cl * ppc),
+                write: packed & OP_BIT != 0,
+                first_touch: packed & FIRST_TOUCH_BIT != 0,
+                block: BlockAddr(a >> block_shift),
+                page: PageAddr(a >> page_shift),
+                home: ClusterId(u16::from(self.home_cluster[i])),
+            };
         }
         n
     }
 
-    /// Computes the trace's independent-shard decomposition: the
-    /// connected components of the *cluster sharing graph*, where two
-    /// clusters are connected iff some page is referenced by both.
+    /// Computes the trace's sharing components: the connected components
+    /// of the *cluster sharing graph*, where two clusters are connected
+    /// iff some page is referenced by both.
     ///
     /// Under first-touch placement every page is homed at a cluster that
     /// references it, so a component's pages are homed inside the
-    /// component and every piece of machine state a component's
-    /// references can touch — its clusters' caches/NC/PC/bus, the
-    /// directory entries and placement slots of its pages, its relocation
-    /// counters — is disjoint from every other component's. Each shard
-    /// can therefore replay independently (in trace order within the
-    /// shard) and merge back to *exactly* the serial result; see
-    /// `System::run_sharded`.
+    /// component and no reference can reach another component's machine
+    /// state — its clusters' caches/NC/PC/bus, the directory entries and
+    /// placement slots of its pages, its relocation counters.
+    /// [`SharedTrace::cluster_partition`] keeps components whole, so the
+    /// sharded replay's planner finds every reference of a
+    /// multi-component trace confined to its own part.
     ///
-    /// Shards are numbered by the trace position of their earliest
-    /// reference, so the decomposition (and everything merged in shard
-    /// order) is deterministic.
+    /// Each component is numbered in order of its lowest cluster id, so
+    /// the map is deterministic.
     #[must_use]
     pub fn shard_plan(&self) -> ShardPlan {
         let clusters = usize::from(self.topo.clusters());
@@ -664,7 +649,9 @@ impl SharedTrace {
         // Page -> some cluster already seen referencing it. The first
         // toucher seeds the entry; every later accessor unions with it.
         let mut page_rep: DenseMap<u8> = DenseMap::new();
+        let mut active = vec![false; clusters];
         for (i, &c) in self.issuing_cluster.iter().enumerate() {
+            active[usize::from(c)] = true;
             let page = self.addr.at(i) >> page_shift;
             match page_rep.get(page) {
                 Some(&rep) => {
@@ -681,40 +668,42 @@ impl SharedTrace {
                 }
             }
         }
-        // Number shards by earliest reference, then gather index lists.
-        let mut shard_of_root = vec![usize::MAX; clusters];
-        let mut shard_of_cluster = vec![usize::MAX; clusters];
-        let mut shards: Vec<Vec<u32>> = Vec::new();
-        for (i, &c) in self.issuing_cluster.iter().enumerate() {
-            let root = usize::from(find(&mut parent, u16::from(c)));
-            let shard = if shard_of_root[root] == usize::MAX {
-                shard_of_root[root] = shards.len();
-                shards.push(Vec::new());
-                shards.len() - 1
-            } else {
-                shard_of_root[root]
-            };
-            shard_of_cluster[usize::from(c)] = shard;
-            shards[shard].push(u32::try_from(i).expect("trace indices fit u32"));
+        let mut component_of_root = vec![usize::MAX; clusters];
+        let mut component_of_cluster = vec![usize::MAX; clusters];
+        let mut components = 0;
+        for c in (0..clusters).filter(|&c| active[c]) {
+            let root = usize::from(find(
+                &mut parent,
+                u16::try_from(c).expect("clusters fit u16"),
+            ));
+            if component_of_root[root] == usize::MAX {
+                component_of_root[root] = components;
+                components += 1;
+            }
+            component_of_cluster[c] = component_of_root[root];
         }
         ShardPlan {
-            shards,
-            shard_of_cluster,
+            components,
+            component_of_cluster,
         }
     }
 
     /// Partitions the machine's *active* clusters (those issuing at
     /// least one reference) into at most `parts` balanced groups by
-    /// per-cluster reference count — the work split of the
-    /// intra-component round-based replay engine, where each worker owns
-    /// a group of clusters plus every page they home.
+    /// reference count — the work split of the sharded replay, where
+    /// each worker owns a group of clusters plus every page they home.
     ///
-    /// Balancing is greedy longest-processing-time: clusters are taken
-    /// in descending reference count (ties broken by ascending cluster
-    /// id) and each is assigned to the currently lightest part (ties
-    /// broken by ascending part index), so the plan is deterministic for
-    /// a given trace. Clusters issuing no references stay unassigned —
-    /// their state is pristine and needs no owner.
+    /// A trace with two or more sharing components ([`Self::shard_plan`])
+    /// is split along component boundaries: whole components are the
+    /// units balanced, so no reference reaches a foreign part. A
+    /// single-component trace balances individual clusters.
+    ///
+    /// Balancing is greedy longest-processing-time: units are taken in
+    /// descending reference count (ties broken by ascending component or
+    /// cluster id) and each is assigned to the currently lightest part
+    /// (ties broken by ascending part index), so the plan is
+    /// deterministic for a given trace. Clusters issuing no references
+    /// stay unassigned — their state is pristine and needs no owner.
     ///
     /// # Panics
     ///
@@ -727,19 +716,38 @@ impl SharedTrace {
         for &c in &self.issuing_cluster {
             refs_of_cluster[usize::from(c)] += 1;
         }
-        let mut active: Vec<usize> = (0..clusters).filter(|&c| refs_of_cluster[c] > 0).collect();
-        let parts = parts.min(active.len()).max(1);
-        // Descending count, ascending cluster id on ties.
-        active.sort_by_key(|&c| (std::cmp::Reverse(refs_of_cluster[c]), c));
-        let mut part_of_cluster = vec![usize::MAX; clusters];
+        // The balanced unit of each cluster: its component when there
+        // are several, else the cluster itself. Units without references
+        // are never assigned a part.
+        let plan = self.shard_plan();
+        let unit_of_cluster: Vec<usize> = if plan.len() >= 2 {
+            plan.component_of_cluster
+        } else {
+            (0..clusters).collect()
+        };
+        let mut refs_of_unit = vec![0u64; clusters];
+        for (c, &u) in unit_of_cluster.iter().enumerate() {
+            if u != usize::MAX {
+                refs_of_unit[u] += refs_of_cluster[c];
+            }
+        }
+        let mut units: Vec<usize> = (0..clusters).filter(|&u| refs_of_unit[u] > 0).collect();
+        let parts = parts.min(units.len()).max(1);
+        // Descending count, ascending unit id on ties.
+        units.sort_by_key(|&u| (std::cmp::Reverse(refs_of_unit[u]), u));
+        let mut part_of_unit = vec![usize::MAX; clusters];
         let mut load = vec![0u64; parts];
-        for c in active {
+        for u in units {
             let lightest = (0..parts)
                 .min_by_key(|&p| (load[p], p))
                 .expect("parts is positive");
-            part_of_cluster[c] = lightest;
-            load[lightest] += refs_of_cluster[c];
+            part_of_unit[u] = lightest;
+            load[lightest] += refs_of_unit[u];
         }
+        let part_of_cluster = unit_of_cluster
+            .iter()
+            .map(|&u| if u == usize::MAX { u } else { part_of_unit[u] })
+            .collect();
         ClusterPartition {
             parts,
             part_of_cluster,
@@ -758,67 +766,48 @@ impl SharedTrace {
     }
 }
 
-/// The independent-shard decomposition of one trace (see
-/// [`SharedTrace::shard_plan`]): per-shard reference index lists, each
-/// in ascending trace order, plus the cluster → shard ownership map the
-/// merge step uses to decide which worker's copy of a cluster unit is
-/// authoritative.
+/// The sharing components of one trace (see
+/// [`SharedTrace::shard_plan`]): the cluster → component map that
+/// [`SharedTrace::cluster_partition`] keeps whole.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
-    /// `shards[s]` = trace indices of shard `s`'s references, ascending.
-    shards: Vec<Vec<u32>>,
-    /// `shard_of_cluster[c]` = the shard owning cluster `c`, or
+    /// Number of components.
+    components: usize,
+    /// `component_of_cluster[c]` = the component of cluster `c`, or
     /// `usize::MAX` for a cluster issuing no references.
-    shard_of_cluster: Vec<usize>,
+    component_of_cluster: Vec<usize>,
 }
 
 impl ShardPlan {
-    /// The per-shard reference index lists, in shard order (shards are
-    /// numbered by their earliest reference's trace position).
-    #[must_use]
-    pub fn shards(&self) -> &[Vec<u32>] {
-        &self.shards
-    }
-
-    /// Number of independent shards. A value of 1 means the whole trace
-    /// is one sharing component and sharded replay degenerates to the
-    /// serial path.
+    /// Number of sharing components. A value of 1 means the whole trace
+    /// is one component (the paper's all-to-all kernels).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.len()
+        self.components
     }
 
-    /// Whether the plan has no shards (empty trace).
+    /// Whether the plan has no components (empty trace).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
+        self.components == 0
     }
 
-    /// The shard owning cluster `c` (`None` if no reference is issued by
-    /// `c` — such a cluster's state stays pristine and needs no merge).
+    /// The component of cluster `c` (`None` if no reference is issued
+    /// by `c`).
     #[must_use]
-    pub fn shard_of_cluster(&self, c: usize) -> Option<usize> {
-        match self.shard_of_cluster.get(c) {
+    pub fn component_of_cluster(&self, c: usize) -> Option<usize> {
+        match self.component_of_cluster.get(c) {
             Some(&s) if s != usize::MAX => Some(s),
             _ => None,
         }
     }
-
-    /// The clusters owned by shard `s`, ascending.
-    #[must_use]
-    pub fn clusters_of(&self, s: usize) -> Vec<usize> {
-        self.shard_of_cluster
-            .iter()
-            .enumerate()
-            .filter_map(|(c, &owner)| (owner == s).then_some(c))
-            .collect()
-    }
 }
 
 /// A balanced assignment of active clusters to replay workers (see
-/// [`SharedTrace::cluster_partition`]). Unlike [`ShardPlan`], the groups
-/// are *not* coherence-independent: the round-based engine that consumes
-/// this plan is responsible for keeping cross-part references exact.
+/// [`SharedTrace::cluster_partition`]). The groups are coherence-
+/// independent only when they follow component boundaries; the rounds
+/// planner that consumes this partition keeps cross-part references
+/// exact either way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterPartition {
     /// Number of parts actually formed (≤ requested, ≥ 1 when any
@@ -1093,18 +1082,11 @@ mod tests {
         let plan = s.shard_plan();
         assert_eq!(plan.len(), 2);
         assert!(!plan.is_empty());
-        // Shard 0 starts at ref 0 (clusters 0+2); shard 1 at ref 1.
-        assert_eq!(plan.shards()[0], vec![0, 2, 4]);
-        assert_eq!(plan.shards()[1], vec![1, 3]);
-        assert_eq!(plan.shard_of_cluster(0), Some(0));
-        assert_eq!(plan.shard_of_cluster(2), Some(0));
-        assert_eq!(plan.shard_of_cluster(1), Some(1));
-        assert_eq!(plan.shard_of_cluster(3), None);
-        assert_eq!(plan.clusters_of(0), vec![0, 2]);
-        assert_eq!(plan.clusters_of(1), vec![1]);
-        // Every reference lands in exactly one shard.
-        let total: usize = plan.shards().iter().map(Vec::len).sum();
-        assert_eq!(total, s.len());
+        // Component 0 holds clusters 0+2, component 1 cluster 1.
+        assert_eq!(plan.component_of_cluster(0), Some(0));
+        assert_eq!(plan.component_of_cluster(2), Some(0));
+        assert_eq!(plan.component_of_cluster(1), Some(1));
+        assert_eq!(plan.component_of_cluster(3), None);
     }
 
     #[test]
@@ -1120,7 +1102,9 @@ mod tests {
         let s = SharedTrace::from_refs(Topology::paper_default(), Geometry::paper_default(), &refs);
         let plan = s.shard_plan();
         assert_eq!(plan.len(), 1);
-        assert_eq!(plan.shards()[0], vec![0, 1, 2, 3]);
+        for c in 0..3 {
+            assert_eq!(plan.component_of_cluster(c), Some(0), "cluster {c}");
+        }
     }
 
     #[test]
@@ -1128,7 +1112,7 @@ mod tests {
         let s = SharedTrace::from_refs(Topology::paper_default(), Geometry::paper_default(), &[]);
         let plan = s.shard_plan();
         assert!(plan.is_empty());
-        assert_eq!(plan.shard_of_cluster(0), None);
+        assert_eq!(plan.component_of_cluster(0), None);
     }
 
     #[test]
@@ -1166,24 +1150,30 @@ mod tests {
 
     #[test]
     fn shard_plan_replays_cover_gather_windows() {
-        // A plan's shard walked through decode_gather in BATCH windows
-        // yields the shard's refs in trace order.
+        // Each component's references, listed the way a parallel round
+        // lists a part's, walked through decode_gather in BATCH windows,
+        // cover the trace exactly once.
         let refs: Vec<MemRef> = (0..40u64)
             .map(|i| MemRef::read(ProcId((i % 8) as u16), Addr((i % 8) * 4096 + i * 64)))
             .collect();
         let s = SharedTrace::from_refs(Topology::paper_default(), Geometry::paper_default(), &refs);
         let plan = s.shard_plan();
         assert_eq!(plan.len(), 2, "procs 0-3 -> cluster 0, 4-7 -> cluster 1");
+        let mut lists = vec![Vec::new(); plan.len()];
+        for (i, &c) in s.issuing_cluster.iter().enumerate() {
+            let comp = plan.component_of_cluster(usize::from(c)).unwrap();
+            lists[comp].push(u32::try_from(i).unwrap());
+        }
         let mut seen = Vec::new();
-        for shard in plan.shards() {
+        for list in &lists {
             let mut window = 0;
             let mut out = [DecodedRef::default(); BATCH];
-            while window < shard.len() {
-                let n = s.decode_gather(&shard[window..], &mut out);
+            while window < list.len() {
+                let n = s.decode_gather(&list[window..], &mut out);
                 assert!(n > 0);
                 window += n;
             }
-            seen.extend_from_slice(shard);
+            seen.extend_from_slice(list);
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..40u32).collect::<Vec<_>>());
@@ -1239,6 +1229,36 @@ mod tests {
         assert_eq!(q.part_of_cluster(0), Some(0));
         assert_eq!(q.part_of_cluster(3), None);
         assert_eq!(q.part_table()[3], usize::MAX);
+    }
+
+    #[test]
+    fn cluster_partition_keeps_components_whole() {
+        let topo = Topology::new(4, 4).unwrap();
+        let geo = Geometry::paper_default();
+        let page = geo.page_bytes();
+        // Loads 30/30/25/25. Clusters 0 and 1 share page 0: components
+        // {0,1} (60), {2} (25), {3} (25).
+        let mut refs = Vec::new();
+        for (c, n) in [(0u16, 30u64), (1, 30), (2, 25), (3, 25)] {
+            let base = if c < 2 { 0 } else { u64::from(c) * 1024 };
+            for i in 0..n {
+                refs.push(MemRef::read(ProcId(c * 4), Addr((base + i % 4) * page)));
+            }
+        }
+        let trace = SharedTrace::from_refs(topo, geo, &refs);
+        assert_eq!(trace.shard_plan().len(), 3);
+        let p = trace.cluster_partition(2);
+        assert_eq!(p.clusters_of(0), vec![0, 1]);
+        assert_eq!(p.clusters_of(1), vec![2, 3]);
+        assert_eq!((p.refs_of_part(0), p.refs_of_part(1)), (60, 50));
+        // One component: clusters are balanced individually again.
+        refs.push(MemRef::read(ProcId(8), Addr(0)));
+        refs.push(MemRef::read(ProcId(12), Addr(0)));
+        let one = SharedTrace::from_refs(topo, geo, &refs);
+        assert_eq!(one.shard_plan().len(), 1);
+        let q = one.cluster_partition(2);
+        assert_eq!(q.clusters_of(0), vec![0, 2]);
+        assert_eq!(q.clusters_of(1), vec![1, 3]);
     }
 
     #[test]

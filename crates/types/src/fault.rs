@@ -102,9 +102,7 @@ pub const FAULT_SITES: [FaultSite; 6] = [
 pub struct FaultPlan {
     /// The injection site.
     pub site: FaultSite,
-    /// Shard sites: the parallel round to fire in (the component engine
-    /// numbers rounds by shard index from 0; the rounds engine numbers
-    /// them from 1).
+    /// Shard sites: the parallel round to fire in, numbered from 1.
     pub round: u32,
     /// Shard sites: the partition (worker) to fire in.
     pub part: u32,
@@ -139,7 +137,7 @@ impl FaultPlan {
         let site = FAULT_SITES[usize::try_from(next() % 6).unwrap_or(0)];
         FaultPlan {
             site,
-            round: u32::try_from(next() % 3).unwrap_or(0),
+            round: 1 + u32::try_from(next() % 3).unwrap_or(0),
             part: u32::try_from(next() % 2).unwrap_or(0),
             seq: u32::try_from(next() % 3).unwrap_or(0),
             io_failures: 1 + u32::try_from(next() % 4).unwrap_or(0),
@@ -365,7 +363,10 @@ mod tests {
         assert_eq!(a, b);
         let mut seen = std::collections::HashSet::new();
         for seed in 0..64u64 {
-            seen.insert(FaultPlan::derive(seed).site);
+            let plan = FaultPlan::derive(seed);
+            seen.insert(plan.site);
+            // Rounds are numbered from 1: a round-0 plan could never fire.
+            assert!((1..=3).contains(&plan.round), "seed {seed}: {plan:?}");
         }
         assert_eq!(
             seen.len(),
@@ -408,7 +409,7 @@ mod tests {
             "worker-panic@r1.p0.s0:7",
             "journal-io",
             "journal-io:x",
-            "no-such-site@r0.p0.s0",
+            "no-such-site@r1.p0.s0",
             "",
         ] {
             assert!(FaultPlan::from_spec(bad).is_err(), "accepted: '{bad}'");

@@ -9,7 +9,7 @@
 //! deterministic [`TraceRng`], so every failure is reproducible from the
 //! printed configuration name and seed.
 
-use dsm_core::shard::{ShardEngine, ShardTuning};
+use dsm_core::shard::ShardTuning;
 use dsm_core::{PcSize, System, SystemSpec};
 use dsm_trace::rng::TraceRng;
 use dsm_trace::SharedTrace;
@@ -80,8 +80,8 @@ fn fuzz_matrix_holds_invariants_at_k1() {
 }
 
 /// The fuzz streams are single-component by construction (every cluster
-/// shares the same hot pages), so a sharded replay runs through the
-/// intra-component *rounds* engine. Its merged state must satisfy every
+/// shares the same hot pages), so a sharded replay alternates parallel
+/// rounds with serial segments. Its merged state must satisfy every
 /// invariant and equal the state of an oracle that audited itself after
 /// every reference (K = 1) — the supervised parallel path gets the same
 /// correctness bar as the serial one.
@@ -121,11 +121,6 @@ fn rounds_engine_matches_k1_oracle_on_fuzz_traces() {
             let report = sys
                 .shard_report()
                 .unwrap_or_else(|| panic!("config {name}, seed {seed}: no shard report"));
-            assert_eq!(
-                report.engine,
-                ShardEngine::Rounds,
-                "config {name}, seed {seed}: single-component fuzz trace must use the rounds engine"
-            );
             assert_eq!(
                 report.degraded, None,
                 "config {name}, seed {seed}: clean run must not degrade"

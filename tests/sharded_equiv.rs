@@ -1,16 +1,18 @@
 //! Equivalence gates for the sharded `System::run_sharded` replay path.
 //!
-//! The sharded engines — component-parallel for traces whose sharing
-//! graph splits, round-based for single-component traces — must produce
-//! machine state *identical* (not statistically close) to the
-//! single-thread `run_shared` oracle, at every worker count and on
-//! every directory/cache configuration. These tests replay randomized
-//! multi-component and single-component traces through both paths,
-//! validate the merged state under the PR-5 invariant checker, and pin
-//! the bounded-mailbox streaming layer against deadlock at capacity 1.
+//! The one sharded engine — conservative rounds over a cluster
+//! partition, aligned to sharing components when the trace has several
+//! — must produce machine state *identical* (not statistically close)
+//! to the single-thread `run_shared` oracle, at every worker count and
+//! on every directory/cache configuration. These tests replay
+//! randomized multi-component traces (which replay as one parallel
+//! round) and single-component traces (parallel rounds between serial
+//! segments) through both paths, validate the merged state under the
+//! coherence invariant checker, and pin the bounded-mailbox streaming
+//! layer against deadlock at capacity 1.
 
 use dsm_core::shard::ShardTuning;
-use dsm_core::{PcSize, ShardEngine, System, SystemSpec};
+use dsm_core::{PcSize, System, SystemSpec};
 use dsm_trace::rng::TraceRng;
 use dsm_trace::SharedTrace;
 use dsm_types::{Addr, ClusterId, Geometry, MemOp, MemRef, ProcId, Topology};
@@ -34,7 +36,7 @@ impl Rng {
 /// every reference from that cluster lands in the group's private 1 MiB
 /// address window. Pages are shared freely *within* a group (so every
 /// coherence transition still fires) but never across groups, which is
-/// exactly the structure the shard planner detects.
+/// exactly the structure `SharedTrace::shard_plan` detects.
 fn component_refs(seed: u64, len: usize, topo: &Topology, components: u64) -> Vec<MemRef> {
     let mut rng = Rng(seed);
     let procs = u64::from(topo.total_procs());
@@ -73,6 +75,7 @@ fn sharded(
     trace: &SharedTrace,
     data_bytes: u64,
     workers: usize,
+    tuning: ShardTuning,
 ) -> (System, usize) {
     let mut sys = System::new(
         spec.clone(),
@@ -81,8 +84,17 @@ fn sharded(
         data_bytes,
     )
     .unwrap();
-    let engaged = sys.run_sharded(trace, workers);
+    let engaged = sys.run_sharded_with(trace, workers, tuning);
     (sys, engaged)
+}
+
+/// A round threshold below the multi-component fixtures' lengths (the
+/// default, 32K references, would leave them serial).
+fn small_threshold() -> ShardTuning {
+    ShardTuning {
+        min_parallel_refs: 512,
+        ..ShardTuning::default()
+    }
 }
 
 fn assert_state_identical(a: &System, b: &System, label: &str) {
@@ -120,7 +132,7 @@ fn sharded_replay_matches_oracle_across_specs_and_worker_counts() {
         for spec in &specs {
             let base = oracle(spec, &trace, 1 << 20);
             for workers in [1usize, 2, 4, 8] {
-                let (sys, engaged) = sharded(spec, &trace, 1 << 20, workers);
+                let (sys, engaged) = sharded(spec, &trace, 1 << 20, workers, small_threshold());
                 if workers >= 2 {
                     assert!(
                         engaged >= 2,
@@ -138,6 +150,31 @@ fn sharded_replay_matches_oracle_across_specs_and_worker_counts() {
     }
 }
 
+/// At default tuning a multi-component trace longer than the round
+/// threshold replays as a single parallel round: the component-aligned
+/// partition leaves the planner no cross-part reference to serialize.
+#[test]
+fn multi_component_trace_replays_as_one_round_at_default_tuning() {
+    let topo = Topology::paper_default();
+    let geo = Geometry::paper_default();
+    let refs = component_refs(61, 40_000, &topo, 4);
+    let trace = SharedTrace::from_refs(topo, geo, &refs);
+    assert_eq!(trace.shard_plan().len(), 4);
+    for spec in [
+        SystemSpec::base().with_limited_directory(4),
+        SystemSpec::vpp(PcSize::DataFraction(5)),
+    ] {
+        let base = oracle(&spec, &trace, 1 << 20);
+        let (sys, engaged) = sharded(&spec, &trace, 1 << 20, 4, ShardTuning::default());
+        assert_eq!(engaged, 4, "{}", spec.name);
+        let report = sys.shard_report().unwrap();
+        assert_eq!(report.parallel_rounds, 1, "{}", spec.name);
+        assert_eq!(report.serial_refs, 0, "{}", spec.name);
+        assert_eq!(report.parallel_refs, trace.len() as u64, "{}", spec.name);
+        assert_state_identical(&base, &sys, &spec.name);
+    }
+}
+
 /// Migratory home policies (Origin migrep) rewrite pages' homes during
 /// the run, which breaks the disjointness argument — the engine must
 /// refuse to shard and still produce oracle-identical results.
@@ -149,13 +186,13 @@ fn migratory_specs_fall_back_to_the_oracle() {
     let trace = SharedTrace::from_refs(topo, geo, &refs);
     let spec = SystemSpec::origin();
     let base = oracle(&spec, &trace, 1 << 20);
-    let (sys, engaged) = sharded(&spec, &trace, 1 << 20, 4);
+    let (sys, engaged) = sharded(&spec, &trace, 1 << 20, 4, ShardTuning::default());
     assert_eq!(engaged, 1, "migrep systems must not shard");
     assert_state_identical(&base, &sys, "origin fallback");
 }
 
 /// The merged machine state after a sharded replay must satisfy every
-/// PR-5 coherence invariant, and must equal the state the oracle
+/// coherence invariant, and must equal the state the oracle
 /// reaches when it validates those invariants after every reference
 /// (check level K=1).
 #[test]
@@ -168,7 +205,7 @@ fn sharded_state_passes_invariant_checker_against_k1_oracle() {
         let mut checked = System::new(spec.clone(), topo, geo, 1 << 20).unwrap();
         checked.set_check_level(1);
         checked.run_shared_checked(&trace).unwrap();
-        let (sys, engaged) = sharded(&spec, &trace, 1 << 20, 4);
+        let (sys, engaged) = sharded(&spec, &trace, 1 << 20, 4, small_threshold());
         assert!(engaged >= 2, "{} fell back unexpectedly", spec.name);
         sys.check_invariants()
             .unwrap_or_else(|e| panic!("merged {} state violates invariants: {e}", spec.name));
@@ -269,7 +306,6 @@ fn intra_component_rounds_match_oracle_across_specs_and_worker_counts() {
                 let label = format!("{} at {workers} workers, seed {seed}", spec.name);
                 assert!(engaged >= 2, "fell back to the oracle: {label}");
                 let report = sys.shard_report().expect("sharded run must report");
-                assert_eq!(report.engine, ShardEngine::Rounds, "{label}");
                 assert!(report.parallel_rounds >= 1, "no parallel rounds: {label}");
                 assert_eq!(
                     report.parallel_refs + report.serial_refs,
@@ -303,7 +339,6 @@ fn rounds_with_capacity_1_mailboxes_stream_without_deadlock() {
     let engaged = sys.run_sharded_with(&trace, 4, tuning);
     assert!(engaged >= 2, "rounds backpressure test needs real sharding");
     let report = sys.shard_report().unwrap();
-    assert_eq!(report.engine, ShardEngine::Rounds);
     assert!(report.parallel_rounds >= 1);
     assert_state_identical(&base, &sys, "rounds capacity-1 mailboxes");
 }
